@@ -28,23 +28,14 @@ object BaselineArasu {
     val t1 = System.nanoTime()
 
     // Random FK assignment from the combo's candidate keys (seeded by K1).
-    val k2 = schema.r2.key
-    val candidates: Map[Int, IndexedSeq[Long]] =
-      p1.comboSpace.withComboId(r2).select(col("__combo"), col(k2).cast("long"))
-        .collect()
-        .groupBy(_.getInt(0))
-        .map { case (c, rows) => c -> rows.map(_.getLong(1)).sorted.toIndexedSeq }
-    val allKeys: IndexedSeq[Long] = candidates.values.flatten.toIndexedSeq.sorted
-    val nCombos = p1.comboSpace.combos.size
+    val palettes: IndexedSeq[IndexedSeq[Long]] = p1.comboSpace.combos.map(_.keys)
 
     val assigns: Dataset[(Long, Long)] = vjoin
       .select(col(schema.r1.key).cast("long"), col("__combo"))
       .as[(Long, Int)]
       .map { case (k1, combo) =>
         val rng = new scala.util.Random(0xBA5E ^ k1)
-        val pool =
-          if (combo >= 0) candidates.getOrElse(combo, allKeys)
-          else candidates.getOrElse(rng.nextInt(math.max(1, nCombos)), allKeys)
+        val pool = palettes(if (combo >= 0) combo else rng.nextInt(palettes.size))
         k1 -> pool(rng.nextInt(pool.size))
       }
     val assignDf = assigns.toDF(schema.r1.key, schema.r1.fk)

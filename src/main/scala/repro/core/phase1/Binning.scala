@@ -1,8 +1,10 @@
 package repro.core.phase1
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{IntegerType, StringType, StructField, StructType}
 import repro.core.model._
+import scala.jdk.CollectionConverters._
 
 /** Inclusive integer interval produced by intervalization. */
 final case class Interval(lo: Int, hi: Int) extends Serializable {
@@ -48,29 +50,27 @@ final case class Binning(schema: DbSchema,
     }
   }
 
-  private def binKeyCol: Column = {
-    val parts = schema.r1.catAttrs.map(col) ++
-      schema.r1.numAttrs.map(a => intervalIdxCol(a).cast("string"))
-    concat_ws("", parts: _*)
-  }
+  /** The bin key: the categorical attributes plus one `__ivl_<attr>`
+    * interval index per numeric attribute.
+    */
+  private def keyCols: Seq[String] =
+    schema.r1.catAttrs ++ schema.r1.numAttrs.map(a => s"__ivl_$a")
 
-  private def binKey(b: Bin): String = {
-    val parts = schema.r1.catAttrs.map(b.cats) ++
-      schema.r1.numAttrs.map(a => intervals(a).indexOf(b.nums(a)).toString)
-    parts.mkString("")
-  }
+  private def withIntervals(df: DataFrame): DataFrame =
+    schema.r1.numAttrs.foldLeft(df)((d, a) => d.withColumn(s"__ivl_$a", intervalIdxCol(a)))
 
-  /** Attach a `__bin` column to an R1-shaped DataFrame (equi-join against
-    * the small bin-key table).
+  /** Attach a `__bin` column to an R1-shaped DataFrame (equi-join on the key
+    * columns against the small bin-key table); `-1` marks tuples in no bin.
     */
   def withBinId(df: DataFrame): DataFrame = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    val keyDf = bins.map(b => (binKey(b), b.id)).toDF("__binkey", "__bin")
-    df.withColumn("__binkey", binKeyCol)
-      .join(keyDf, Seq("__binkey"), "left")
-      .drop("__binkey")
-      .withColumn("__bin", coalesce(col("__bin"), lit(-1)))
+    val keyRows = bins.map(b => Row.fromSeq(schema.r1.catAttrs.map(b.cats) ++
+      schema.r1.numAttrs.map(a => intervals(a).indexOf(b.nums(a))) :+ b.id))
+    val keyDf = df.sparkSession.createDataFrame(keyRows.asJava, StructType(
+      schema.r1.catAttrs.map(StructField(_, StringType)) ++
+        schema.r1.numAttrs.map(a => StructField(s"__ivl_$a", IntegerType)) :+
+        StructField("__bin", IntegerType)))
+    withIntervals(df).join(keyDf, keyCols, "left")
+      .select(df.columns.toSeq.map(col) :+ coalesce(col("__bin"), lit(-1)).as("__bin"): _*)
   }
 }
 
@@ -93,19 +93,15 @@ object Binning {
             ccs: Seq[CardinalityConstraint]): Binning = {
     val numAttrs = schema.r1.numAttrs
     val intervalsByAttr: Map[String, IndexedSeq[Interval]] = numAttrs.map { a =>
-      val stats = r1.agg(min(col(a)).cast("int"), max(col(a)).cast("int")).head
+      val stats = r1.agg(min(col(a)).cast("int"), max(col(a)).cast("int")).head()
       val (dMin, dMax) = (stats.getInt(0), stats.getInt(1))
       val ranges = ccs.flatMap(_.cond.byAttr.get(a)).collect { case r: NumRange => r }
       a -> intervalize(dMin, dMax, ranges)
     }.toMap
 
     val pre = Binning(schema, intervalsByAttr, IndexedSeq.empty)
-    // Group on (cat attrs, interval index per num attr) to enumerate bins.
-    val withIvl = numAttrs.foldLeft(r1) { (df, a) =>
-      df.withColumn(s"__ivl_$a", pre.intervalIdxCol(a))
-    }
-    val groupCols = schema.r1.catAttrs.map(col) ++ numAttrs.map(a => col(s"__ivl_$a"))
-    val rows = withIvl.groupBy(groupCols: _*).count()
+    // Group on the bin key columns to enumerate bins.
+    val rows = pre.withIntervals(r1).groupBy(pre.keyCols.map(col): _*).count()
       .collect()
       .sortBy(_.toString) // deterministic bin ids
     val bins = rows.zipWithIndex.map { case (row, id) =>

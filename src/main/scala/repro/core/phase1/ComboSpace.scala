@@ -4,8 +4,10 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.model._
 
-/** One distinct combination of R2's non-key attribute values. */
-final case class Combo(id: Int, values: Map[String, String], nHousing: Long)
+/** One distinct combination of R2's non-key attribute values, with the R2
+  * keys that carry it (sorted): the candidate FK values of its tuples.
+  */
+final case class Combo(id: Int, values: Map[String, String], keys: IndexedSeq[Long])
     extends Serializable {
 
   /** Does this combo satisfy an R2-side condition? */
@@ -16,32 +18,16 @@ final case class Combo(id: Int, values: Map[String, String], nHousing: Long)
 /** The space of R2 `B1..Bq` value combinations present in the data.
   *
   * Phase I assigns each V_Join tuple a combo id; Phase II partitions the
-  * conflict hypergraph by combo (candidate FK values are disjoint across
-  * combos, Section 5.2).
+  * conflict hypergraph by combo and colors each partition with its combo's
+  * keys (candidate FK values are disjoint across combos, Section 5.2).
   */
 final case class ComboSpace(schema: DbSchema, combos: IndexedSeq[Combo])
     extends Serializable {
 
   def byId(id: Int): Combo = combos(id)
 
-  /** Combos whose values are irrelevant to every CC — `combo_unused` of
-    * Algorithm 2 line 14.
-    */
-  def unusedBy(ccs: Seq[CardinalityConstraint]): IndexedSeq[Combo] =
-    combos.filter(c => !ccs.exists(cc => c.matchesR2Cond(cc.r2Cond(schema))))
-
-  /** Attach a `__combo` column to an R2-shaped DataFrame. */
-  def withComboId(r2: DataFrame): DataFrame = {
-    val spark = r2.sparkSession
-    import spark.implicits._
-    val attrs = schema.r2.attrs
-    val keyDf = combos
-      .map(c => (attrs.map(c.values).mkString(""), c.id))
-      .toDF("__combokey", "__combo")
-    r2.withColumn("__combokey", concat_ws("", attrs.map(col): _*))
-      .join(keyDf, Seq("__combokey"), "left")
-      .drop("__combokey")
-  }
+  /** Largest R2 key; fresh keys are allocated above it. */
+  def maxKey: Long = combos.map(_.keys.last).max
 
   /** Small DataFrame (comboId, B attrs...) for joining combo values back. */
   def asDataFrame(spark: org.apache.spark.sql.SparkSession): DataFrame = {
@@ -57,15 +43,17 @@ final case class ComboSpace(schema: DbSchema, combos: IndexedSeq[Combo])
 
 object ComboSpace {
 
-  /** Enumerate distinct B-combos of `r2` with housing-row counts. */
+  /** Enumerate distinct B-combos of `r2` with their sorted keys. */
   def build(r2: DataFrame, schema: DbSchema): ComboSpace = {
     val attrs = schema.r2.attrs
-    val rows = r2.groupBy(attrs.map(col): _*).count()
+    val rows = r2.groupBy(attrs.map(col): _*)
+      .agg(sort_array(collect_list(col(schema.r2.key).cast("long"))))
       .collect()
-      .sortBy(_.toString) // deterministic combo ids
+      // Deterministic combo ids: order by the B values, rendered as `[b1,…,bq,`.
+      .sortBy(row => attrs.indices.map(row.get).mkString("[", ",", ","))
     val combos = rows.zipWithIndex.map { case (row, id) =>
       val values = attrs.zipWithIndex.map { case (a, i) => a -> row.get(i).toString }.toMap
-      Combo(id, values, row.getLong(row.size - 1))
+      Combo(id, values, row.getSeq[Long](attrs.size).toIndexedSeq)
     }.toIndexedSeq
     ComboSpace(schema, combos)
   }

@@ -28,20 +28,7 @@ object HasseCompleter {
            schema: DbSchema, binning: Binning, comboSpace: ComboSpace,
            pool: BinPool): Result = {
 
-    // Precompute, per CC, the bins / combos its condition matches.
-    val binMatch: Map[String, BitSet] = allCcs.map { cc =>
-      val r1c = cc.r1Cond(schema)
-      cc.id -> BitSet(binning.bins.filter(_.matchesR1Cond(r1c)).map(_.id): _*)
-    }.toMap
-    val comboMatch: Map[String, BitSet] = allCcs.map { cc =>
-      val r2c = cc.r2Cond(schema)
-      cc.id -> BitSet(comboSpace.combos.filter(_.matchesR2Cond(r2c)).map(_.id): _*)
-    }.toMap
-    // CCs touching each combo, for fast danger lookup.
-    val ccsByCombo: Map[Int, Seq[CardinalityConstraint]] =
-      comboSpace.combos.map { c =>
-        c.id -> allCcs.filter(cc => comboMatch(cc.id)(c.id))
-      }.toMap
+    val coverage = new CcCoverage(allCcs, schema, binning, comboSpace)
 
     val allocs = mutable.ArrayBuffer.empty[Alloc]
     val shortfalls = mutable.ArrayBuffer.empty[(String, Long)]
@@ -55,14 +42,14 @@ object HasseCompleter {
         .map(c => go(c, ancestors + c.cc.id)).sum
       var needed = math.max(0L, node.cc.target - fromChildren)
       var filled = 0L
-      val myBins = binMatch(node.cc.id)
-      val myCombos = comboMatch(node.cc.id)
+      val myBins = coverage.bins(node.cc.id)
+      val myCombos = coverage.combos(node.cc.id)
       val comboIt = myCombos.iterator
       while (needed > 0 && comboIt.hasNext) {
         val comboId = comboIt.next()
         // Bins that, paired with this combo, touch only ancestor CCs.
-        val danger = ccsByCombo(comboId).filterNot(cc => ancestors(cc.id))
-        val blocked = danger.foldLeft(BitSet.empty)((acc, cc) => acc | binMatch(cc.id))
+        val danger = coverage.ccsByCombo(comboId).filterNot(cc => ancestors(cc.id))
+        val blocked = danger.foldLeft(BitSet.empty)((acc, cc) => acc | coverage.bins(cc.id))
         val okBins = myBins &~ blocked
         val binIt = okBins.iterator
         while (needed > 0 && binIt.hasNext) {

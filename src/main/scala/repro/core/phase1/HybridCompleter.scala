@@ -9,9 +9,8 @@ import scala.collection.mutable
   * Figure 13 (pairwise comparison, recursion, ILP solver).
   */
 final case class Phase1Stats(pairwiseMs: Long, recursionMs: Long, ilpMs: Long,
-                             nS1: Int, nS2: Int, ilpVars: Int, ilpRows: Int,
-                             ilpL1: Double, shortfalls: Seq[(String, Long)],
-                             nInvalidBins: Int)
+                             nS1: Int, nS2: Int, ilpVars: Int,
+                             shortfalls: Seq[(String, Long)], nInvalidBins: Int)
 
 /** Result of Phase I: V_Join with a `__combo` column (−1 = invalid tuple),
   * plus the binning/combo metadata Phase II needs.
@@ -47,7 +46,7 @@ object HybridCompleter {
     val allocs = mutable.ArrayBuffer.empty[Alloc]
 
     var pairwiseMs = 0L; var recursionMs = 0L; var ilpMs = 0L
-    var nS1 = 0; var nS2 = 0; var ilpVars = 0; var ilpRows = 0; var ilpL1 = 0.0
+    var nS1 = 0; var nS2 = 0; var ilpVars = 0
     var shortfalls: Seq[(String, Long)] = Nil
 
     mode match {
@@ -69,7 +68,7 @@ object HybridCompleter {
                                        withMarginals = true, dropFreePairs = true)
           ilpMs = (System.nanoTime() - t2) / 1000000
           allocs ++= ires.allocs
-          ilpVars = ires.nVars; ilpRows = ires.nRows; ilpL1 = ires.l1Error
+          ilpVars = ires.nVars
         }
 
       case Mode.IlpOnly | Mode.IlpOnlyMarginals =>
@@ -79,24 +78,21 @@ object HybridCompleter {
         ilpMs = (System.nanoTime() - t2) / 1000000
         allocs ++= ires.allocs
         nS2 = ccs.size
-        ilpVars = ires.nVars; ilpRows = ires.nRows; ilpL1 = ires.l1Error
+        ilpVars = ires.nVars
     }
 
     // Leftover tuples. Hybrid (Algorithm 2 lines 14–17): per bin, a combo
-    // that adds to no CC's count — per-bin rather than the global
+    // that no CC covering the bin counts — per-bin rather than the global
     // combo_unused, which can only reduce the number of invalid tuples.
     // Baselines (Section 6.1): values are assigned uniformly at random, which
     // is what produces their CC error.
     var nInvalidBins = 0
-    val r1CondCache = ccs.map(cc => cc.id -> cc.r1Cond(schema)).toMap
-    val r2CondCache = ccs.map(cc => cc.id -> cc.r2Cond(schema)).toMap
+    lazy val coverage = new CcCoverage(ccs, schema, binning, comboSpace)
     for ((binId, left) <- pool.remaining) {
       mode match {
         case Mode.Hybrid =>
-          val bin = binning.bins(binId)
-          val touching = ccs.filter(cc => bin.matchesR1Cond(r1CondCache(cc.id)))
-          val safe = comboSpace.combos.filter(c =>
-            !touching.exists(cc => c.matchesR2Cond(r2CondCache(cc.id))))
+          val impact = coverage.impact(binId)
+          val safe = impact.indices.filter(impact(_) == 0)
           if (safe.isEmpty) nInvalidBins += 1 // stays __combo = -1 (invalid)
           else {
             // Spread leftovers over all safe combos (the paper assigns a
@@ -111,7 +107,7 @@ object HybridCompleter {
             while (remaining > 0) {
               val c = it.next()
               val got = pool.take(binId, math.min(share, remaining))
-              if (got > 0) allocs += Alloc(binId, c.id, got)
+              if (got > 0) allocs += Alloc(binId, c, got)
               remaining -= math.min(share, remaining)
             }
           }
@@ -127,7 +123,6 @@ object HybridCompleter {
     val r1WithBin = binning.withBinId(r1.drop(schema.r1.fk))
     val vjoin = AllocationPlan(r1WithBin, schema, allocs.toSeq)
     Phase1Result(vjoin, binning, comboSpace,
-      Phase1Stats(pairwiseMs, recursionMs, ilpMs, nS1, nS2, ilpVars, ilpRows,
-                  ilpL1, shortfalls, nInvalidBins))
+      Phase1Stats(pairwiseMs, recursionMs, ilpMs, nS1, nS2, ilpVars, shortfalls, nInvalidBins))
   }
 }

@@ -2,7 +2,6 @@ package repro.core.phase1
 
 import repro.core.model._
 import repro.ilp._
-import scala.collection.immutable.BitSet
 
 /** Algorithm 1: V_Join completion by modeling the CCs as an integer
   * program over (bin, combo) count variables.
@@ -15,8 +14,7 @@ import scala.collection.immutable.BitSet
   */
 object IlpCompleter {
 
-  final case class Result(allocs: Seq[Alloc], l1Error: Double,
-                          nVars: Int, nRows: Int, usedSolver: Boolean)
+  final case class Result(allocs: Seq[Alloc], l1Error: Double, nVars: Int, nRows: Int)
 
   /** @param withMarginals add the per-bin (all-way-marginal) equality rows
     *                      of §4.1 / the modified marginals of §4.3
@@ -31,22 +29,15 @@ object IlpCompleter {
   def plan(ccs: Seq[CardinalityConstraint], schema: DbSchema,
            binning: Binning, comboSpace: ComboSpace, pool: BinPool,
            withMarginals: Boolean, dropFreePairs: Boolean = false): Result = {
-    if (ccs.isEmpty) return Result(Nil, 0.0, 0, 0, usedSolver = false)
+    if (ccs.isEmpty) return Result(Nil, 0.0, 0, 0)
 
-    val binMatch: Map[String, BitSet] = ccs.map { cc =>
-      val r1c = cc.r1Cond(schema)
-      cc.id -> BitSet(binning.bins.filter(_.matchesR1Cond(r1c)).map(_.id): _*)
-    }.toMap
-    val comboMatch: Map[String, BitSet] = ccs.map { cc =>
-      val r2c = cc.r2Cond(schema)
-      cc.id -> BitSet(comboSpace.combos.filter(_.matchesR2Cond(r2c)).map(_.id): _*)
-    }.toMap
+    val coverage = new CcCoverage(ccs, schema, binning, comboSpace)
 
     val relevantBins = binning.bins
-      .filter(b => pool.available(b.id) > 0 && ccs.exists(cc => binMatch(cc.id)(b.id)))
+      .filter(b => pool.available(b.id) > 0 && ccs.exists(cc => coverage.bins(cc.id)(b.id)))
       .map(_.id)
     val relevantCombos = comboSpace.combos
-      .filter(c => ccs.exists(cc => comboMatch(cc.id)(c.id)))
+      .filter(c => ccs.exists(cc => coverage.combos(cc.id)(c.id)))
       .map(_.id)
 
     // Variable layout: one per (bin, combo) pair + one "elsewhere" per bin.
@@ -60,8 +51,8 @@ object IlpCompleter {
 
     val ccRows = ccs.toIndexedSeq.map { cc =>
       val coeffs = for {
-        b <- relevantBins if binMatch(cc.id)(b)
-        c <- relevantCombos if comboMatch(cc.id)(c)
+        b <- relevantBins if coverage.bins(cc.id)(b)
+        c <- relevantCombos if coverage.combos(cc.id)(c)
       } yield pairIdx((b, c)) -> 1.0
       SoftRow(coeffs.toMap, cc.target.toDouble)
     }
@@ -97,7 +88,6 @@ object IlpCompleter {
       got = pool.take(b, want) if got > 0
     } yield Alloc(b, c, got)
 
-    Result(allocs, sol.l1Error, nVars,
-           ccRows.size + marginalRows.size + availRows.size, usedSolver = true)
+    Result(allocs, sol.l1Error, nVars, ccRows.size + marginalRows.size + availRows.size)
   }
 }

@@ -1,9 +1,9 @@
 package repro.core.phase2
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core.model._
-import repro.core.phase1.{Binning, ComboSpace}
+import repro.core.phase1.{Binning, CcCoverage, ComboSpace}
 
 /** One output row of the distributed coloring: either a FK assignment for an
   * R1 tuple (`kind = 0`) or a new housing tuple to append to R̂2 (`kind = 1`).
@@ -36,24 +36,14 @@ object FkAssigner {
 
     val k2 = schema.r2.key
     // Candidate FK values per combo (housing keys with those B values).
-    val candidates: Map[Int, IndexedSeq[Long]] =
-      comboSpace.withComboId(r2).select(col("__combo"), col(k2).cast("long"))
-        .collect()
-        .groupBy(_.getInt(0))
-        .map { case (c, rows) => c -> rows.map(_.getLong(1)).sorted.toIndexedSeq }
-    val maxHid = r2.agg(max(col(k2)).cast("long")).head.getLong(0)
+    val palettes: IndexedSeq[IndexedSeq[Long]] = comboSpace.combos.map(_.keys)
+    val maxHid = comboSpace.maxKey
 
-    // Least-CC-impact combo per bin, for solveInvalidTuples.
-    val r1Conds = ccs.map(cc => cc -> cc.r1Cond(schema))
-    val comboTouch: Map[String, Set[Int]] = ccs.map { cc =>
-      val r2c = cc.r2Cond(schema)
-      cc.id -> comboSpace.combos.filter(_.matchesR2Cond(r2c)).map(_.id).toSet
-    }.toMap
+    // Least-CC-impact combo per bin (lowest id on ties), for solveInvalidTuples.
+    val coverage = new CcCoverage(ccs, schema, binning, comboSpace)
     val bestComboForBin: Map[Int, Int] = binning.bins.map { b =>
-      val touching = r1Conds.collect { case (cc, c1) if b.matchesR1Cond(c1) => cc }
-      val best = comboSpace.combos.minBy(c =>
-        (touching.count(cc => comboTouch(cc.id)(c.id)), c.id))
-      b.id -> best.id
+      val impact = coverage.impact(b.id)
+      b.id -> impact.indexOf(impact.min)
     }.toMap
 
     val catAttrs = schema.r1.catAttrs
@@ -82,25 +72,17 @@ object FkAssigner {
           (catAttrs.zip(r._3) ++ numAttrs.zip(r._4)).toMap
         }
         val edges = ConflictGraph.edges(tuples, dcsLocal)
-        val palette =
-          if (invalidLane) IndexedSeq.empty[Long]
-          else candidates.getOrElse(combo, IndexedSeq.empty)
+        val palette = if (invalidLane) IndexedSeq.empty[Long] else palettes(combo)
         val (c1, skipped) = ListColoring.colorLF(rows.size, edges, Map.empty, palette)
 
-        // Fresh colors for skipped vertices; loop in case hyperedges force
-        // more than |skipped| new colors (cannot happen for pairwise DCs).
+        // Fresh colors for skipped vertices. |skipped| of them always
+        // suffice: while a skipped vertex is colored some fresh color is
+        // still unused, and a hyperedge can only forbid a color that all its
+        // other vertices already hold.
         val freshBase = maxHid + ((combo.toLong + 2) << 33) +
           (if (invalidLane) 1L << 32 else 0L)
-        var colors = c1
-        var toColor = skipped
-        var freshUsed = 0
-        while (toColor.nonEmpty) {
-          val fresh = (1 to toColor.size).map(i => freshBase + freshUsed + i)
-          val (c2, s2) = ListColoring.colorLF(rows.size, edges, colors, fresh.toIndexedSeq)
-          freshUsed += toColor.size
-          colors = c2
-          toColor = s2
-        }
+        val fresh = (1 to skipped.size).map(i => freshBase + i)
+        val (colors, _) = ListColoring.colorLF(rows.size, edges, c1, fresh)
 
         val assigns = rows.indices.map(i => FkOut(0, rows(i)._2, colors(i), combo))
         val newHids = colors.values.filter(_ > maxHid).toSeq.distinct

@@ -17,9 +17,6 @@ object BranchAndBound {
   private val IntTol = 1e-6
 
   def solve(p: LpProblem, intVars: Range, maxNodes: Int = 400): Option[IlpResult] = {
-    val root = Simplex.solve(p)
-    if (root.status == LpStatus.Infeasible) return None
-
     var incumbent: Option[(Array[Long], Double)] = None
     var nodes = 0
     // stack entries: extra bound rows added so far

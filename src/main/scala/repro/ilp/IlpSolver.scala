@@ -9,15 +9,7 @@ final case class SoftRow(coeffs: Map[Int, Double], target: Double)
   * mirroring how the paper's formulation tolerates CC error — while per-bin
   * availability rows are hard.
   */
-/** @param varCost optional tiny per-variable cost added to the L1 objective
-  *                 — used to break ties among equally-deviating solutions
-  *                 (e.g. prefer leaving spare bin mass unassigned instead of
-  *                 dumping it into an arbitrary combo). Keep costs small
-  *                 enough that their total never trades against a unit of
-  *                 deviation.
-  */
-final case class CountIlp(nVars: Int, soft: IndexedSeq[SoftRow], hard: IndexedSeq[LpRow],
-                          varCost: Option[Array[Double]] = None)
+final case class CountIlp(nVars: Int, soft: IndexedSeq[SoftRow], hard: IndexedSeq[LpRow])
 
 final case class CountSolution(x: Array[Long], l1Error: Double, exact: Boolean)
 
@@ -34,7 +26,6 @@ object IlpSolver {
     // layout: [x (n)] [s+ (k)] [s- (k)]
     val nTot = n + 2 * k
     val obj = Array.ofDim[Double](nTot)
-    inst.varCost.foreach(c => System.arraycopy(c, 0, obj, 0, n))
     for (i <- 0 until 2 * k) obj(n + i) = 1.0
     val softRows = inst.soft.zipWithIndex.map { case (s, i) =>
       LpRow(s.coeffs ++ Map(n + i -> 1.0, n + k + i -> -1.0), RowSense.Eq, s.target)

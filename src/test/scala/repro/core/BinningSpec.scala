@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.core.model._
 import repro.core.phase1.{Binning, Interval}
 import repro.{PaperExample, SparkSpec}
@@ -76,6 +75,22 @@ class BinningSpec extends SparkSpec {
     val sizes = b.withBinId(r1).groupBy("__bin").count().collect()
       .map(r => r.getInt(0) -> r.getLong(1)).toMap
     b.bins.foreach(bin => assert(sizes(bin.id) == bin.count))
+  }
+
+  test("withBinId keeps one row per tuple when values concatenate alike") {
+    import spark.implicits._
+    val twoCats = DbSchema(R1Schema("pid", Seq("C1", "C2"), Nil, "fk"), R2Schema("k", Seq("B")))
+    // Joined with or without a separator, some pair below spells the same key.
+    val r1 = Seq((1L, "ab", "c"), (2L, "a", "bc"), (3L, "ab", "c"),
+                 (4L, "a\u0001", "b"), (5L, "a", "\u0001b")).toDF("pid", "C1", "C2")
+    val b = Binning.build(r1, twoCats, Nil)
+    assert(b.bins.size == 4)
+    val withBin = b.withBinId(r1)
+    assert(withBin.count() == r1.count())
+    withBin.collect().foreach { r =>
+      val bin = b.bins(r.getAs[Int]("__bin"))
+      assert(bin.cats == Map("C1" -> r.getAs[String]("C1"), "C2" -> r.getAs[String]("C2")))
+    }
   }
 
   test("bin matchesR1Cond honors interval containment") {

@@ -10,7 +10,7 @@ class ComboSpaceSpec extends SparkSpec {
   test("paper example has two combos with housing counts 4 and 2") {
     val cs = ComboSpace.build(PaperExample.r2(spark), schema)
     assert(cs.combos.size == 2)
-    val byArea = cs.combos.map(c => c.values("Area") -> c.nHousing).toMap
+    val byArea = cs.combos.map(c => c.values("Area") -> c.keys.size.toLong).toMap
     assert(byArea == Map("Chicago" -> 4L, "NYC" -> 2L))
   }
 
@@ -23,24 +23,26 @@ class ComboSpaceSpec extends SparkSpec {
   test("matchesR2Cond selects by value") {
     val cs = ComboSpace.build(PaperExample.r2(spark), schema)
     val chi = cs.combos.filter(_.matchesR2Cond(SelCond(Seq(CatEq("Area", "Chicago")))))
-    assert(chi.size == 1 && chi.head.nHousing == 4)
+    assert(chi.size == 1 && chi.head.keys.size == 4)
     assert(cs.combos.count(_.matchesR2Cond(SelCond.empty)) == 2)
   }
 
-  test("unusedBy finds combos no CC touches") {
-    val cs = ComboSpace.build(PaperExample.r2(spark), schema)
-    assert(cs.unusedBy(PaperExample.ccs).isEmpty) // both areas appear in CCs
-    assert(cs.unusedBy(PaperExample.ccs.take(1)).map(_.values("Area")) == Seq("NYC"))
-  }
-
-  test("withComboId tags each housing row with its combo") {
-    val cs = ComboSpace.build(PaperExample.r2(spark), schema)
-    val rows = cs.withComboId(PaperExample.r2(spark)).collect()
-    assert(rows.length == 6)
-    rows.foreach { r =>
-      val combo = cs.byId(r.getAs[Int]("__combo"))
-      assert(combo.values("Area") == r.getAs[String]("Area"))
+  test("combo keys partition R2 by B values, even colliding ones") {
+    import spark.implicits._
+    val twoB = DbSchema(R1Schema("pid", Seq("X"), Nil, "fk"), R2Schema("k", Seq("B1", "B2")))
+    val collide = Seq((1L, "ab", "c"), (2L, "a", "bc"), (3L, "ab", "c")).toDF("k", "B1", "B2")
+    for ((r2, s) <- Seq(PaperExample.r2(spark) -> schema, collide -> twoB)) {
+      val cs = ComboSpace.build(r2, s)
+      val attrs = s.r2.attrs
+      val rows = r2.collect().map(r => r.getAs[Long](s.r2.key) -> attrs.map(a => r.getAs[String](a)))
+      val owners = cs.combos.flatMap(c => c.keys.map(_ -> c)).groupBy(_._1)
+      assert(owners.keySet == rows.map(_._1).toSet)
+      rows.foreach { case (k, vals) =>
+        assert(owners(k).size == 1, s"key $k is in ${owners(k).size} combos")
+        assert(attrs.map(owners(k).head._2.values) == vals)
+      }
     }
+    assert(ComboSpace.build(collide, twoB).combos.map(_.keys) == Seq(Seq(2L), Seq(1L, 3L)))
   }
 
   test("asDataFrame round-trips combo values") {

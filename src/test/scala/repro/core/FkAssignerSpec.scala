@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import repro.core.model._
 import repro.core.phase1.HybridCompleter
 import repro.core.phase2.FkAssigner
 import repro.eval.ErrorMeasures
@@ -89,5 +90,29 @@ class FkAssignerSpec extends SparkSpec {
     val newHomes = p2.r2Hat.filter(col("hid") > 6)
     assert(newHomes.count() >= 3)
     assert(newHomes.filter(col("Area") === "Chicago").count() == newHomes.count())
+  }
+
+  test("an invalid tuple gets a fresh key carrying its bin's least-impact combo") {
+    // Spouse CCs over both areas: the one spouse tuple (pid 5) stays invalid
+    // in Phase I, since every combo would add to some CC.
+    val ccs = Seq(
+      CardinalityConstraint("s1", SelCond(Seq(CatEq("Rel", "Spouse"), CatEq("Area", "Chicago"))), 0),
+      CardinalityConstraint("s2", SelCond(Seq(CatEq("Rel", "Spouse"), CatEq("Area", "NYC"))), 0))
+    val r1 = PaperExample.r1(spark)
+    val r2 = PaperExample.r2(spark)
+    val p1 = HybridCompleter.run(r1, r2, schema, ccs, HybridCompleter.Mode.Hybrid)
+    assert(p1.vjoin.filter(col("__combo") === -1).select("pid").collect().map(_.getLong(0)).toSeq == Seq(5L))
+    val p2 = FkAssigner.run(p1.vjoin, r1, r2, schema, PaperExample.dcs, ccs,
+                            p1.binning, p1.comboSpace)
+
+    val hid = p2.r1Hat.filter(col("pid") === 5L).select("hid").head().getLong(0)
+    assert(hid > 6L, s"expected a fresh key, got $hid")
+    val area = p2.r2Hat.filter(col("hid") === hid).select("Area").collect().map(_.getString(0)).toSeq
+    // Least-impact combo: fewest CCs counting (spouse, area), lowest combo id on ties.
+    val spouse = Map[String, Any]("Rel" -> "Spouse", "MultiLing" -> "0", "Age" -> 24)
+    val expected = p1.comboSpace.combos.minBy(c =>
+      (ccs.count(_.cond.matches(spouse ++ c.values)), c.id)).values("Area")
+    assert(area == Seq(expected))
+    assert(ErrorMeasures.dcViolationFraction(p2.r1Hat, schema, PaperExample.dcs) == 0.0)
   }
 }

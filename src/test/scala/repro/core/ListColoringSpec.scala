@@ -105,4 +105,28 @@ class ListColoringSpec extends AnyFunSuite {
       s.isEmpty && properPairwise(edges, c)
     }
   }
+
+  // ---- property: |uncolored| fresh colors always suffice (Algorithm 4's
+  // fresh-key pass), whatever the initial coloring and with 3-vertex edges
+  private val hypergraphGen: Gen[(Int, IndexedSeq[Vector[Int]], Map[Int, Long])] = for {
+    n <- Gen.choose(2, 12)
+    seed <- Gen.choose(0L, Long.MaxValue)
+  } yield {
+    val rng = new scala.util.Random(seed)
+    val pairs = for (i <- 0 until n; j <- (i + 1) until n if rng.nextInt(3) == 0) yield Vector(i, j)
+    val triples = for (i <- 0 until n; j <- (i + 1) until n; k <- (j + 1) until n
+                       if rng.nextInt(6) == 0) yield Vector(i, j, k)
+    val initial = (0 until n).filter(_ => rng.nextBoolean()).map(_ -> (1L + rng.nextInt(3))).toMap
+    (n, (pairs ++ triples).toIndexedSeq, initial)
+  }
+
+  test("property: as many fresh colors as uncolored vertices skip no vertex") {
+    checkProp(hypergraphGen) { case (n, edges, initial) =>
+      val fresh = (1L to (n - initial.size).toLong).map(_ + 1000L)
+      val (c, s) = ListColoring.colorLF(n, edges, initial, fresh)
+      s.isEmpty && c.size == n && edges.forall { e =>
+        e.forall(initial.contains) || e.map(c).distinct.size > 1
+      }
+    }
+  }
 }

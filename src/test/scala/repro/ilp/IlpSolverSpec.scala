@@ -58,15 +58,6 @@ class IlpSolverSpec extends AnyFunSuite {
     assert(IlpSolver.l1(inst, Array(3L, 2L)) == 0.0)
   }
 
-  test("varCost breaks ties among equally-deviating solutions") {
-    // x0 + x1 = 5; x0 carries a tiny cost → mass should go to x1
-    val inst = CountIlp(2, IndexedSeq(SoftRow(Map(0 -> 1.0, 1 -> 1.0), 5)),
-                        IndexedSeq.empty, Some(Array(0.001, 0.0)))
-    val s = IlpSolver.solve(inst)
-    assert(s.exact)
-    assert(s.x(1) == 5L && s.x(0) == 0L, s.x.toSeq)
-  }
-
   test("marginal-style block system: CC rows plus per-bin totals") {
     // 2 bins × 2 combos; bin totals 10 and 6 (soft eq); CC wants combo0 = 8
     // vars: x00 x01 x10 x11
