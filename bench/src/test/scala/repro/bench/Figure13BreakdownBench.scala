@@ -40,8 +40,8 @@ class Figure13BreakdownBench extends SparkSpec {
       assert(r.ilpVars > 0, s"bad ILP had no variables: $r")
     }
     good.zip(bad).foreach { case (g, b) =>
-      val gTotal = g.pairwiseMs + g.recursionMs + g.ilpMs + g.coloringMs
-      val bTotal = b.pairwiseMs + b.recursionMs + b.ilpMs + b.coloringMs
+      val gTotal = g.pairwiseMs + g.recursionMs + g.ilpMs + g.phase2Ms
+      val bTotal = b.pairwiseMs + b.recursionMs + b.ilpMs + b.phase2Ms
       println(s"[Fig 13] n=${g.nCCs}: total good=${gTotal}ms bad=${bTotal}ms")
     }
     // errors stay at the Figure 8 levels while sweeping the CC count

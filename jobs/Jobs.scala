@@ -5,7 +5,7 @@ import repro.eval.TableReports
 
 /** Shared session bootstrap for the spark-submit entrypoints. */
 object JobSession {
-  def make(name: String): SparkSession = SparkSession.builder
+  def make(name: String): SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
     .appName(name)
     .config("spark.sql.shuffle.partitions",

@@ -6,7 +6,7 @@ import repro.core.phase1.{HybridCompleter, Phase1Stats}
 import repro.core.phase2.FkAssigner
 
 /** Timing summary of a full C-Extension run (feeds Figures 11/13). */
-final case class RunTimings(phase1Ms: Long, coloringMs: Long, totalMs: Long,
+final case class RunTimings(phase1Ms: Long, phase2Ms: Long, totalMs: Long,
                             phase1: Phase1Stats)
 
 /** Output of the two-phase solution: R̂1 with the FK column completed, R̂2

@@ -13,13 +13,7 @@ final case class HasseNode(cc: CardinalityConstraint, children: Seq[HasseNode])
 /** Hasse "diagrams" (Section 4.2): a forest of containment trees, one tree
   * per diagram, with disjoint roots.
   */
-final case class HasseForest(roots: Seq[HasseNode]) {
-  def allCCs: Seq[CardinalityConstraint] = {
-    def walk(n: HasseNode): Seq[CardinalityConstraint] =
-      n.cc +: n.children.flatMap(walk)
-    roots.flatMap(walk)
-  }
-}
+final case class HasseForest(roots: Seq[HasseNode])
 
 object HasseDiagram {
 

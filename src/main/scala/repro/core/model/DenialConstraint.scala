@@ -24,7 +24,9 @@ final case class CrossCond(i: Int, attrI: String, op: CmpOp,
   * `slots(i)` is a conjunctive single-tuple condition on `t_{i+1}`; `cross`
   * relates numeric attributes of two slots. DCs with `Rel ∈ {..}` or
   * "age outside [lo,hi]" disjunctions are expanded into several conjunctive
-  * DCs by the constraint generators (one per alternative).
+  * DCs by the constraint generators (one per alternative). DCs are
+  * evaluated only once `repro.core.phase2.ConflictGraph.compile` has
+  * resolved their attributes against an R1 schema.
   *
   * @param name  identifier for reporting
   * @param slots per-tuple conjunctive conditions; `slots.size` = DC arity k
@@ -35,21 +37,4 @@ final case class DenialConstraint(name: String, slots: Seq[SelCond],
   require(slots.size >= 2, s"FK DC needs arity ≥ 2, got ${slots.size} in $name")
 
   def arity: Int = slots.size
-
-  /** Do the given tuples (attribute → value maps, one per slot, in slot
-    * order) satisfy the non-FK body of the DC — i.e. would they violate the
-    * DC if they all shared a foreign key?
-    */
-  def bodyHolds(tuples: IndexedSeq[Map[String, Any]]): Boolean = {
-    require(tuples.size == arity, s"expected $arity tuples")
-    slots.indices.forall(i => slots(i).matches(tuples(i))) &&
-      cross.forall { cc =>
-        (tuples(cc.i).get(cc.attrI), tuples(cc.j).get(cc.attrJ)) match {
-          case (Some(l: Int), Some(r: Int)) => cc.op.eval(l, r + cc.offset)
-          case (Some(l), Some(r)) =>
-            cc.op.eval(l.toString.toInt, r.toString.toInt + cc.offset)
-          case _ => false
-        }
-      }
-  }
 }

@@ -51,11 +51,8 @@ final case class NumRange(attr: String, lo: Int, hi: Int) extends Pred {
   override def toColumn: Column = col(attr) >= lit(lo) && col(attr) <= lit(hi)
 
   override def matches(v: Any): Boolean = v match {
-    case null       => false
-    case i: Int     => i >= lo && i <= hi
-    case l: Long    => l >= lo && l <= hi
-    case s: Short   => s >= lo && s <= hi
-    case other      => val d = other.toString.toDouble; d >= lo && d <= hi
+    case i: Int => i >= lo && i <= hi
+    case _      => false
   }
 
   override def disjointWith(other: Pred): Boolean = other match {
@@ -87,8 +84,10 @@ final case class SelCond(preds: Seq[Pred]) extends Serializable {
   /** Spark Column of the conjunction (`lit(true)` when unconstrained). */
   def toColumn: Column = preds.foldLeft(lit(true))((acc, p) => acc && p.toColumn)
 
-  /** Does a tuple (attribute → value map) satisfy every conjunct? */
-  def matches(values: Map[String, Any]): Boolean =
+  /** Do categorical values (attribute → value) satisfy every conjunct? A
+    * range never matches a categorical value.
+    */
+  def matches(values: Map[String, String]): Boolean =
     preds.forall(p => p.matches(values.getOrElse(p.attr, null)))
 
   /** Restriction of the condition to a subset of attributes. */

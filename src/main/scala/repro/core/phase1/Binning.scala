@@ -88,12 +88,15 @@ object Binning {
     }.toIndexedSeq
   }
 
-  /** Build bins for `r1` under the intervalization induced by `ccs`. */
+  /** Build bins for `r1` under the intervalization induced by `ccs`.
+    * Throws `IllegalArgumentException` when an R1 attribute holds a null.
+    */
   def build(r1: DataFrame, schema: DbSchema,
             ccs: Seq[CardinalityConstraint]): Binning = {
     val numAttrs = schema.r1.numAttrs
     val intervalsByAttr: Map[String, IndexedSeq[Interval]] = numAttrs.map { a =>
       val stats = r1.agg(min(col(a)).cast("int"), max(col(a)).cast("int")).head()
+      require(!stats.isNullAt(0), s"R1 column $a has no non-null values")
       val (dMin, dMax) = (stats.getInt(0), stats.getInt(1))
       val ranges = ccs.flatMap(_.cond.byAttr.get(a)).collect { case r: NumRange => r }
       a -> intervalize(dMin, dMax, ranges)
@@ -104,6 +107,11 @@ object Binning {
     val rows = pre.withIntervals(r1).groupBy(pre.keyCols.map(col): _*).count()
       .collect()
       .sortBy(_.toString) // deterministic bin ids
+    // A null categorical value stays null in the key; a null numeric one
+    // falls in no interval (index -1).
+    val nCat = schema.r1.catAttrs.size
+    for (row <- rows; (a, i) <- schema.r1.attrs.zipWithIndex)
+      require(if (i < nCat) !row.isNullAt(i) else row.getInt(i) >= 0, s"R1 column $a has null values")
     val bins = rows.zipWithIndex.map { case (row, id) =>
       val cats = schema.r1.catAttrs.zipWithIndex
         .map { case (a, i) => a -> row.get(i).toString }.toMap

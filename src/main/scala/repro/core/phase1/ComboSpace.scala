@@ -24,8 +24,6 @@ final case class Combo(id: Int, values: Map[String, String], keys: IndexedSeq[Lo
 final case class ComboSpace(schema: DbSchema, combos: IndexedSeq[Combo])
     extends Serializable {
 
-  def byId(id: Int): Combo = combos(id)
-
   /** Largest R2 key; fresh keys are allocated above it. */
   def maxKey: Long = combos.map(_.keys.last).max
 
@@ -43,15 +41,19 @@ final case class ComboSpace(schema: DbSchema, combos: IndexedSeq[Combo])
 
 object ComboSpace {
 
-  /** Enumerate distinct B-combos of `r2` with their sorted keys. */
+  /** Enumerate distinct B-combos of `r2` with their sorted keys. Throws
+    * `IllegalArgumentException` when a B attribute holds a null.
+    */
   def build(r2: DataFrame, schema: DbSchema): ComboSpace = {
     val attrs = schema.r2.attrs
     val rows = r2.groupBy(attrs.map(col): _*)
       .agg(sort_array(collect_list(col(schema.r2.key).cast("long"))))
       .collect()
-      // Deterministic combo ids: order by the B values, rendered as `[b1,…,bq,`.
-      .sortBy(row => attrs.indices.map(row.get).mkString("[", ",", ","))
-    val combos = rows.zipWithIndex.map { case (row, id) =>
+    for (row <- rows; (a, i) <- attrs.zipWithIndex)
+      require(!row.isNullAt(i), s"R2 column $a has null values")
+    // Deterministic combo ids: order by the B values, rendered as `[b1,…,bq,`.
+    val sorted = rows.sortBy(row => attrs.indices.map(row.get).mkString("[", ",", ","))
+    val combos = sorted.zipWithIndex.map { case (row, id) =>
       val values = attrs.zipWithIndex.map { case (a, i) => a -> row.get(i).toString }.toMap
       Combo(id, values, row.getSeq[Long](attrs.size).toIndexedSeq)
     }.toIndexedSeq

@@ -1,43 +1,143 @@
 package repro.core.phase2
 
-import repro.core.model.DenialConstraint
+import org.apache.spark.sql.{Column, DataFrame, Dataset, Encoder}
+import org.apache.spark.sql.functions._
+import repro.core.model._
 import scala.collection.mutable
 
-/** Conflict hypergraph construction (Definition 5.1).
+/** An R1 tuple in schema-positional form, the one encoding the DC checks
+  * read: `cats` holds the values of `R1Schema.catAttrs` and `nums` those of
+  * `R1Schema.numAttrs`, each in schema order, so `cats ++ nums` follows
+  * `R1Schema.attrs`. `key` is K1; `group` is the key the caller partitions on.
+  */
+final case class R1Tuple(group: Long, key: Long, cats: Array[String], nums: Array[Int])
+
+/** A slot predicate bound to a value position: `pos` indexes `cats` when
+  * `numeric` is false, `nums` otherwise.
+  */
+private final case class SlotAtom(pos: Int, numeric: Boolean, pred: Pred) {
+  def matches(t: R1Tuple): Boolean =
+    if (numeric) pred.matches(t.nums(pos)) else pred.matches(t.cats(pos))
+}
+
+/** A cross atom `t_i.nums(posI) op (t_j.nums(posJ) + offset)` over the tuples
+  * chosen for slots `i` and `j`.
+  */
+private final case class CrossAtom(i: Int, posI: Int, op: CmpOp, j: Int, posJ: Int, offset: Int) {
+  def holds(ts: IndexedSeq[R1Tuple], chosen: Array[Int]): Boolean =
+    op.eval(ts(chosen(i)).nums(posI), ts(chosen(j)).nums(posJ) + offset)
+}
+
+/** A DC with attribute names resolved to positions. `crossAt(s)` holds the
+  * cross atoms whose later slot is `s`, checked as soon as `s` is filled.
+  */
+private final case class CompiledDc(slots: IndexedSeq[IndexedSeq[SlotAtom]],
+                                    crossAt: IndexedSeq[IndexedSeq[CrossAtom]]) {
+  def arity: Int = slots.size
+}
+
+/** A DC set compiled against one R1 schema by [[ConflictGraph.compile]]. */
+final class CompiledDcs private[phase2] (dcs: Vector[CompiledDc]) extends Serializable {
+
+  /** Enumerate hyperedges among `tuples`: for each DC, every assignment of
+    * distinct tuples to its slots that satisfies the slot conditions and
+    * the cross atoms. Returned edges are sorted, deduplicated vertex-index
+    * vectors, in order of first discovery.
+    */
+  def edges(tuples: IndexedSeq[R1Tuple]): Vector[Vector[Int]] = {
+    val out = mutable.LinkedHashSet.empty[Vector[Int]]
+    for (dc <- dcs) {
+      val slotCands = dc.slots.map(atoms => tuples.indices.filter(i => atoms.forall(_.matches(tuples(i)))))
+      val chosen = new Array[Int](dc.arity)
+      def rec(slot: Int): Unit =
+        if (slot == dc.arity) out += chosen.sorted.toVector
+        else slotCands(slot).foreach { i =>
+          chosen(slot) = i
+          var k = 0
+          while (k < slot && chosen(k) != i) k += 1
+          if (k == slot && dc.crossAt(slot).forall(_.holds(tuples, chosen))) rec(slot + 1)
+        }
+      rec(0)
+    }
+    out.toVector
+  }
+}
+
+/** Conflict hypergraph construction (Definition 5.1), and the one place the
+  * DCs are evaluated.
   *
   * Vertices are tuple indices; a hyperedge is a set of tuples that would
   * jointly violate some DC if they shared a foreign key. Enumeration is
   * slot-filtered: for each DC only tuples satisfying a slot's single-tuple
-  * condition are candidates for that slot, which keeps the pair/k-tuple
-  * scans small in practice.
+  * condition are candidates for that slot, and a cross atom prunes an
+  * assignment as soon as both its slots are filled.
   */
 object ConflictGraph {
 
-  /** Enumerate hyperedges among `tuples` (attribute → value maps). Returned
-    * edges are sorted, deduplicated vertex-index vectors.
+  /** Resolve every attribute of `dcs` to its position in `r1`. Throws
+    * `IllegalArgumentException` for an attribute `r1` lacks, a range on a
+    * categorical attribute, or a cross atom on a categorical attribute or
+    * on a slot outside the DC — each would otherwise never fire.
+    */
+  def compile(dcs: Seq[DenialConstraint], r1: R1Schema): CompiledDcs = {
+    def numPos(dc: DenialConstraint, a: String): Int = {
+      val p = r1.numAttrs.indexOf(a)
+      require(p >= 0, s"DC ${dc.name}: cross atom on $a, which is not a numeric R1 attribute")
+      p
+    }
+    def slotAtom(dc: DenialConstraint, p: Pred): SlotAtom = {
+      val (ci, ni) = (r1.catAttrs.indexOf(p.attr), r1.numAttrs.indexOf(p.attr))
+      require(ci >= 0 || ni >= 0, s"DC ${dc.name}: ${p.attr} is not an R1 attribute")
+      require(ni >= 0 || !p.isInstanceOf[NumRange],
+              s"DC ${dc.name}: range on categorical attribute ${p.attr}")
+      if (ni >= 0) SlotAtom(ni, numeric = true, p) else SlotAtom(ci, numeric = false, p)
+    }
+    new CompiledDcs(dcs.toVector.map { dc =>
+      val cross = dc.cross.toIndexedSeq.map { c =>
+        require(Seq(c.i, c.j).forall(s => s >= 0 && s < dc.arity),
+                s"DC ${dc.name}: cross atom on slots (${c.i}, ${c.j}) of an arity-${dc.arity} DC")
+        CrossAtom(c.i, numPos(dc, c.attrI), c.op, c.j, numPos(dc, c.attrJ), c.offset)
+      }
+      CompiledDc(dc.slots.map(_.preds.map(slotAtom(dc, _)).toIndexedSeq).toIndexedSeq,
+                 (0 until dc.arity).map(s => cross.filter(c => math.max(c.i, c.j) == s)))
+    })
+  }
+
+  /** The conflict pass shared by Phase II and DC-error measurement: read
+    * `df`'s R1 rows as positional tuples, partition them by `group` (cast
+    * to long), and call `f` once per group with the group key, the group's
+    * tuples sorted by K1, and their hyperedges under `dcs`. The DCs are
+    * compiled here, on the driver, so a bad DC fails before any job runs.
+    */
+  def perGroup[T: Encoder](df: DataFrame, r1: R1Schema, group: Column, dcs: Seq[DenialConstraint])
+                          (f: (Long, IndexedSeq[R1Tuple], Vector[Vector[Int]]) => Iterator[T]): Dataset[T] = {
+    val compiled = compile(dcs, r1)
+    val spark = df.sparkSession
+    import spark.implicits._
+    df.select(group.cast("long").as("group"), col(r1.key).cast("long").as("key"),
+              array(r1.catAttrs.map(c => col(c).cast("string")): _*).as("cats"),
+              array(r1.numAttrs.map(c => col(c).cast("int")): _*).as("nums"))
+      .as[R1Tuple]
+      .groupByKey(_.group)
+      .flatMapGroups { (g: Long, it: Iterator[R1Tuple]) =>
+        val tuples = it.toIndexedSeq.sortBy(_.key)
+        f(g, tuples, compiled.edges(tuples))
+      }
+  }
+
+  /** Enumerate hyperedges among `tuples` given as attribute → value maps,
+    * all with the first tuple's attributes; those it holds as `Int` are
+    * numeric, the rest categorical. Encodes the tuples and delegates to the
+    * compiled evaluator.
     */
   def edges(tuples: IndexedSeq[Map[String, Any]],
             dcs: Seq[DenialConstraint]): Vector[Vector[Int]] = {
-    val out = mutable.LinkedHashSet.empty[Vector[Int]]
-    for (dc <- dcs) {
-      val slotCands: IndexedSeq[IndexedSeq[Int]] = dc.slots.map { s =>
-        tuples.indices.filter(i => s.matches(tuples(i)))
-      }.toIndexedSeq
-      // Assign distinct tuple indices to slots (order matters for cross conds).
-      def rec(slot: Int, chosen: List[Int]): Unit = {
-        if (slot == dc.arity) {
-          val assignment = chosen.reverse.toIndexedSeq
-          if (dc.bodyHolds(assignment.map(tuples))) {
-            out += assignment.sorted.toVector
-          }
-        } else {
-          slotCands(slot).foreach { i =>
-            if (!chosen.contains(i)) rec(slot + 1, i :: chosen)
-          }
-        }
-      }
-      rec(0, Nil)
+    if (tuples.isEmpty) return Vector.empty
+    val (nums, cats) = tuples.head.keys.toSeq.partition(a => tuples.head(a).isInstanceOf[Int])
+    val encoded = tuples.indices.map { i =>
+      R1Tuple(0L, i.toLong, cats.map(a => Option(tuples(i)(a)).map(_.toString).orNull).toArray,
+              nums.map(a => tuples(i)(a).asInstanceOf[Int]).toArray)
     }
-    out.toVector
+    compile(dcs, R1Schema("", cats, nums, "")).edges(encoded)
   }
 }

@@ -46,32 +46,16 @@ object FkAssigner {
       b.id -> impact.indexOf(impact.min)
     }.toMap
 
-    val catAttrs = schema.r1.catAttrs
-    val numAttrs = schema.r1.numAttrs
-    val dcsLocal = dcs.toVector
-
     // Group key: combo*2 for valid tuples, bestCombo*2+1 for invalid ones.
     val invalidKeyDf = bestComboForBin.toSeq.toDF("__bin", "__bestCombo")
-    val keyed: Dataset[(Long, Long, Seq[String], Seq[Int])] = vjoin
-      .join(invalidKeyDf, Seq("__bin"), "left")
-      .withColumn("__gkey",
-        when(col("__combo") >= 0, col("__combo").cast("long") * 2)
-          .otherwise(coalesce(col("__bestCombo"), lit(0)).cast("long") * 2 + 1))
-      .select(col("__gkey"), col(schema.r1.key).cast("long"),
-              array(catAttrs.map(c => col(c).cast("string")): _*),
-              array(numAttrs.map(c => col(c).cast("int")): _*))
-      .as[(Long, Long, Seq[String], Seq[Int])]
+    val groupKey = when(col("__combo") >= 0, col("__combo").cast("long") * 2)
+      .otherwise(coalesce(col("__bestCombo"), lit(0)).cast("long") * 2 + 1)
 
-    val outs: Dataset[FkOut] = keyed
-      .groupByKey(_._1)
-      .flatMapGroups { (gkey: Long, it: Iterator[(Long, Long, Seq[String], Seq[Int])]) =>
+    val outs: Dataset[FkOut] = ConflictGraph.perGroup(
+        vjoin.join(invalidKeyDf, Seq("__bin"), "left"), schema.r1, groupKey, dcs) {
+      (gkey, rows, edges) =>
         val combo = (gkey / 2).toInt
         val invalidLane = gkey % 2 == 1
-        val rows = it.toIndexedSeq.sortBy(_._2)
-        val tuples: IndexedSeq[Map[String, Any]] = rows.map { r =>
-          (catAttrs.zip(r._3) ++ numAttrs.zip(r._4)).toMap
-        }
-        val edges = ConflictGraph.edges(tuples, dcsLocal)
         val palette = if (invalidLane) IndexedSeq.empty[Long] else palettes(combo)
         val (c1, skipped) = ListColoring.colorLF(rows.size, edges, Map.empty, palette)
 
@@ -84,7 +68,7 @@ object FkAssigner {
         val fresh = (1 to skipped.size).map(i => freshBase + i)
         val (colors, _) = ListColoring.colorLF(rows.size, edges, c1, fresh)
 
-        val assigns = rows.indices.map(i => FkOut(0, rows(i)._2, colors(i), combo))
+        val assigns = rows.indices.map(i => FkOut(0, rows(i).key, colors(i), combo))
         val newHids = colors.values.filter(_ > maxHid).toSeq.distinct
         val newHousing = newHids.map(h => FkOut(1, -1L, h, combo))
         (assigns ++ newHousing).iterator

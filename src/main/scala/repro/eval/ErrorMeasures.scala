@@ -17,7 +17,7 @@ object ErrorMeasures {
       val aggs = chunk.zipWithIndex.map { case (cc, i) =>
         sum(when(cc.cond.toColumn, 1L).otherwise(0L)).alias(s"c$i")
       }
-      val row = joinDf.agg(aggs.head, aggs.tail: _*).head
+      val row = joinDf.agg(aggs.head, aggs.tail: _*).head()
       chunk.indices.map(i => if (row.isNullAt(i)) 0L else row.getLong(i))
     }.toSeq
   }
@@ -42,32 +42,18 @@ object ErrorMeasures {
   /** DC error: the fraction of R̂1 tuples participating in a violation.
     *
     * A Foreign-Key DC can only be violated by tuples sharing an FK value, so
-    * we group by FK and reuse the conflict-hypergraph enumerator per (small)
-    * household group — any edge among same-FK tuples is a violation. Handles
-    * every DC arity and runs distributed.
+    * the conflict pass runs per FK group — any edge among same-FK tuples is
+    * a violation. Handles every DC arity and runs distributed.
     */
   def dcViolationFraction(r1Hat: DataFrame, schema: DbSchema,
                           dcs: Seq[DenialConstraint]): Double = {
     if (dcs.isEmpty) return 0.0
     val spark = r1Hat.sparkSession
     import spark.implicits._
-    val catAttrs = schema.r1.catAttrs
-    val numAttrs = schema.r1.numAttrs
-    val dcsLocal = dcs.toVector
-    val rows = r1Hat.select(
-      col(schema.r1.fk).cast("long"), col(schema.r1.key).cast("long"),
-      array(catAttrs.map(c => col(c).cast("string")): _*),
-      array(numAttrs.map(c => col(c).cast("int")): _*)
-    ).as[(Long, Long, Seq[String], Seq[Int])]
-
+    val violators = ConflictGraph.perGroup(r1Hat, schema.r1, col(schema.r1.fk), dcs) {
+      (_, group, edges) => edges.flatten.distinct.map(i => group(i).key).iterator
+    }
     val total = r1Hat.count()
-    if (total == 0) return 0.0
-    val violating = rows.groupByKey(_._1).flatMapGroups { (_, it) =>
-      val group = it.toIndexedSeq
-      val tuples = group.map(r => (catAttrs.zip(r._3) ++ numAttrs.zip(r._4)).toMap[String, Any])
-      val edges = ConflictGraph.edges(tuples, dcsLocal)
-      edges.flatten.distinct.map(i => group(i)._2).iterator
-    }.distinct().count()
-    violating.toDouble / total
+    if (total == 0) 0.0 else violators.distinct().count().toDouble / total
   }
 }

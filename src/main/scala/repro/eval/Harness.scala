@@ -1,7 +1,6 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.baseline.BaselineArasu
 import repro.census.{CensusData, CensusSchema, ConstraintGen}
 import repro.core.CExtension
@@ -65,7 +64,7 @@ object Harness {
     val errs = ErrorMeasures.ccRelErrors(joined, ccs)
     val dcErr = ErrorMeasures.dcViolationFraction(res.r1Hat, schema, dcs)
     val out = AlgoResult(algo, ErrorMeasures.median(errs), ErrorMeasures.mean(errs),
-      dcErr, res.timings.phase1Ms, res.timings.coloringMs, res.timings.totalMs,
+      dcErr, res.timings.phase1Ms, res.timings.phase2Ms, res.timings.totalMs,
       res.timings.phase1)
     res.vjoin.unpersist(); res.r1Hat.unpersist()
     out

@@ -3,15 +3,15 @@ package repro.ilp
 import scala.collection.mutable
 
 /** Result of an integer solve: `x` restricted to integral values. */
-final case class IlpResult(x: Array[Long], objective: Double, optimal: Boolean)
+final case class IlpResult(x: Array[Long], objective: Double)
 
 /** Depth-first branch & bound over the LP relaxation.
   *
   * Branches on the most fractional variable among `intVars`, ceil branch
   * first (counts tend to be pushed up by the L1 formulation). Node- and
-  * iteration-limited: on exhaustion the best incumbent (if any) is returned
-  * with `optimal = false`; with no incumbent the caller is expected to fall
-  * back to rounding (see [[IlpSolver]]).
+  * iteration-limited: on exhaustion the best incumbent (if any) is returned;
+  * with no incumbent the caller is expected to fall back to rounding (see
+  * [[IlpSolver]]).
   */
 object BranchAndBound {
   private val IntTol = 1e-6
@@ -51,7 +51,7 @@ object BranchAndBound {
       }
     }
     incumbent.map { case (x, obj) =>
-      IlpResult(x, obj, optimal = stack.isEmpty)
+      IlpResult(x, obj)
     }
   }
 }

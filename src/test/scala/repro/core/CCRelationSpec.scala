@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.ccrel.CCRelation
 import repro.core.ccrel.CCRelation._
 import repro.core.model._
 

@@ -33,11 +33,6 @@ class HasseDiagramSpec extends AnyFunSuite {
     assert(f.roots.forall(_.children.isEmpty))
   }
 
-  test("allCCs walks the whole forest") {
-    val f = HasseDiagram.buildForest(Seq(root, left, right, leaf, other), schema)
-    assert(f.allCCs.map(_.id).toSet == Set("root", "left", "right", "leaf", "other"))
-  }
-
   test("split: no intersections → everything in S1") {
     val s = HasseDiagram.split(Seq(root, left, right, leaf, other), schema)
     assert(s.s2.isEmpty)

@@ -25,7 +25,7 @@ class IlpCompleterSpec extends SparkSpec {
       val r1c = cc.r1Cond(schema); val r2c = cc.r2Cond(schema)
       val got = res.allocs.filter(a =>
         binning.bins(a.binId).matchesR1Cond(r1c) &&
-          comboSpace.byId(a.comboId).matchesR2Cond(r2c)).map(_.count).sum
+          comboSpace.combos(a.comboId).matchesR2Cond(r2c)).map(_.count).sum
       assert(got == cc.target, s"${cc.id}: $got != ${cc.target}")
     }
   }

@@ -30,9 +30,10 @@ class PredicateSpec extends AnyFunSuite {
     assert(!NumRange("Age", 10, 20).matches(9))
     assert(!NumRange("Age", 10, 20).matches(21))
   }
-  test("NumRange matches Long and string-encoded numbers") {
-    assert(NumRange("Age", 10, 20).matches(15L))
-    assert(NumRange("Age", 10, 20).matches("15"))
+  test("NumRange matches only Int values") {
+    assert(!NumRange("Age", 10, 20).matches(15L))
+    assert(!NumRange("Age", 10, 20).matches("15"))
+    assert(!NumRange("Age", 10, 20).matches(null))
   }
   test("NumRange disjointness") {
     assert(NumRange("Age", 0, 9).disjointWith(NumRange("Age", 10, 20)))
@@ -54,6 +55,7 @@ class PredicateSpec extends AnyFunSuite {
 
   private val owner25 = SelCond(Seq(CatEq("Rel", "Owner"), NumRange("Age", 25, 114)))
   private val owner = SelCond(Seq(CatEq("Rel", "Owner")))
+  private val ownerMl = SelCond(Seq(CatEq("Rel", "Owner"), CatEq("MultiLing", "1")))
   private val young = SelCond(Seq(NumRange("Age", 0, 24)))
 
   test("SelCond duplicate attributes rejected") {
@@ -61,15 +63,15 @@ class PredicateSpec extends AnyFunSuite {
       SelCond(Seq(CatEq("Rel", "Owner"), CatEq("Rel", "Spouse"))))
   }
   test("SelCond matches conjunction") {
-    assert(owner25.matches(Map("Rel" -> "Owner", "Age" -> 30)))
-    assert(!owner25.matches(Map("Rel" -> "Owner", "Age" -> 20)))
-    assert(!owner25.matches(Map("Rel" -> "Spouse", "Age" -> 30)))
+    assert(ownerMl.matches(Map("Rel" -> "Owner", "MultiLing" -> "1")))
+    assert(!ownerMl.matches(Map("Rel" -> "Owner", "MultiLing" -> "0")))
+    assert(!ownerMl.matches(Map("Rel" -> "Spouse", "MultiLing" -> "1")))
   }
   test("SelCond empty matches everything") {
-    assert(SelCond.empty.matches(Map("anything" -> 1)))
+    assert(SelCond.empty.matches(Map("anything" -> "1")))
   }
   test("SelCond missing attribute fails the match") {
-    assert(!owner25.matches(Map("Rel" -> "Owner")))
+    assert(!ownerMl.matches(Map("Rel" -> "Owner")))
   }
   test("SelCond disjointWith via common attribute") {
     assert(owner25.disjointWith(SelCond(Seq(CatEq("Rel", "Spouse")))))

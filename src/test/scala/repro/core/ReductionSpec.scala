@@ -11,20 +11,12 @@ import repro.eval.ErrorMeasures
   */
 class ReductionSpec extends SparkSpec {
 
+  import ReductionSpec.dcs
+
   // R1(tid, Var, Alpha, Cls, Chosen) — all numeric; R2(Chosen, E)
   private val schema = DbSchema(
     R1Schema("tid", Seq.empty, Seq("Var", "Alpha", "Cls"), "Chosen"),
     R2Schema("Chosen", Seq("E")))
-
-  private val dcs = Seq(
-    // (1) same variable, opposite polarity ⇒ different Chosen
-    DenialConstraint("var_consistency", Seq(SelCond.empty, SelCond.empty),
-      Seq(CrossCond(0, "Var", EqOp, 1, "Var", 0),
-          CrossCond(0, "Alpha", Ne, 1, "Alpha", 0))),
-    // (2) three literals of a clause cannot all share Chosen
-    DenialConstraint("clause_nae", Seq(SelCond.empty, SelCond.empty, SelCond.empty),
-      Seq(CrossCond(0, "Cls", EqOp, 1, "Cls", 0),
-          CrossCond(1, "Cls", EqOp, 2, "Cls", 0))))
 
   /** Encode φ = (x1 ∨ x2 ∨ ¬x3) ∧ (¬x1 ∨ x2 ∨ x3): tuples (Var, α, Cls). */
   private def r1 = {
@@ -73,4 +65,17 @@ class ReductionSpec extends SparkSpec {
     ).toDF("tid", "Var", "Alpha", "Cls", "Chosen")
     assert(ErrorMeasures.dcViolationFraction(badR1, schema, dcs) == 1.0)
   }
+}
+
+object ReductionSpec {
+  /** The two DCs of the reduction, over numeric `Var`, `Alpha` and `Cls`. */
+  val dcs: Seq[DenialConstraint] = Seq(
+    // (1) same variable, opposite polarity ⇒ different Chosen
+    DenialConstraint("var_consistency", Seq(SelCond.empty, SelCond.empty),
+      Seq(CrossCond(0, "Var", EqOp, 1, "Var", 0),
+          CrossCond(0, "Alpha", Ne, 1, "Alpha", 0))),
+    // (2) three literals of a clause cannot all share Chosen
+    DenialConstraint("clause_nae", Seq(SelCond.empty, SelCond.empty, SelCond.empty),
+      Seq(CrossCond(0, "Cls", EqOp, 1, "Cls", 0),
+          CrossCond(1, "Cls", EqOp, 2, "Cls", 0))))
 }
