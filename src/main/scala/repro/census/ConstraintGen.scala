@@ -143,8 +143,7 @@ object ConstraintGen {
     * guaranteeing a consistent (zero-error-achievable) constraint set.
     */
   def withTargets(preds: Seq[(String, SelCond)], gtJoin: DataFrame): Seq[CardinalityConstraint] = {
-    val provisional = preds.map { case (id, c) => CardinalityConstraint(id, c, 0L) }
-    val counts = ErrorMeasures.ccCounts(gtJoin, provisional)
+    val counts = ErrorMeasures.ccCounts(gtJoin, preds.map(_._2))
     preds.zip(counts).map { case ((id, c), k) => CardinalityConstraint(id, c, k) }
   }
 

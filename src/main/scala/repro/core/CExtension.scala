@@ -22,10 +22,9 @@ final case class CExtensionResult(r1Hat: DataFrame, r2Hat: DataFrame,
 object CExtension {
 
   def run(r1: DataFrame, r2: DataFrame, schema: DbSchema,
-          ccs: Seq[CardinalityConstraint], dcs: Seq[DenialConstraint],
-          mode: HybridCompleter.Mode = HybridCompleter.Mode.Hybrid): CExtensionResult = {
+          ccs: Seq[CardinalityConstraint], dcs: Seq[DenialConstraint]): CExtensionResult = {
     val t0 = System.nanoTime()
-    val p1 = HybridCompleter.run(r1, r2, schema, ccs, mode)
+    val p1 = HybridCompleter.run(r1, r2, schema, ccs, HybridCompleter.Mode.Hybrid)
     val vjoin = p1.vjoin.cache()
     vjoin.count() // materialize so Phase I timing is honest
     val t1 = System.nanoTime()

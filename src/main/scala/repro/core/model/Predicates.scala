@@ -1,8 +1,5 @@
 package repro.core.model
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
 /** Atomic selection predicate over a single attribute.
   *
   * The paper's linear CCs use conjuncts of the form `A o c` with
@@ -13,9 +10,6 @@ import org.apache.spark.sql.functions._
 sealed trait Pred extends Serializable {
   /** Attribute the predicate constrains. */
   def attr: String
-
-  /** Spark Column expression of this predicate. */
-  def toColumn: Column
 
   /** Does a concrete attribute value satisfy the predicate? */
   def matches(value: Any): Boolean
@@ -29,8 +23,6 @@ sealed trait Pred extends Serializable {
 
 /** Equality on a categorical (string-valued) attribute. */
 final case class CatEq(attr: String, value: String) extends Pred {
-  override def toColumn: Column = col(attr) === lit(value)
-
   override def matches(v: Any): Boolean = v != null && v.toString == value
 
   override def disjointWith(other: Pred): Boolean = other match {
@@ -47,8 +39,6 @@ final case class CatEq(attr: String, value: String) extends Pred {
 /** Inclusive interval on an integer attribute. */
 final case class NumRange(attr: String, lo: Int, hi: Int) extends Pred {
   require(lo <= hi, s"empty range [$lo,$hi] on $attr")
-
-  override def toColumn: Column = col(attr) >= lit(lo) && col(attr) <= lit(hi)
 
   override def matches(v: Any): Boolean = v match {
     case i: Int => i >= lo && i <= hi
@@ -80,9 +70,6 @@ final case class SelCond(preds: Seq[Pred]) extends Serializable {
   def attrs: Set[String] = byAttr.keySet
 
   def isEmpty: Boolean = preds.isEmpty
-
-  /** Spark Column of the conjunction (`lit(true)` when unconstrained). */
-  def toColumn: Column = preds.foldLeft(lit(true))((acc, p) => acc && p.toColumn)
 
   /** Do categorical values (attribute → value) satisfy every conjunct? A
     * range never matches a categorical value.

@@ -25,8 +25,4 @@ final case class R2Schema(key: String, attrs: Seq[String]) extends Serializable
 /** Database schema pair for a C-Extension instance. */
 final case class DbSchema(r1: R1Schema, r2: R2Schema) extends Serializable {
   require(r1.attrs.intersect(r2.attrs).isEmpty, "R1/R2 attribute names must not clash")
-
-  /** Which relation owns an attribute (for splitting CC conditions). */
-  def isR1Attr(a: String): Boolean = r1.attrs.contains(a)
-  def isR2Attr(a: String): Boolean = r2.attrs.contains(a)
 }

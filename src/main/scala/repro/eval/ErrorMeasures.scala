@@ -1,30 +1,45 @@
 package repro.eval
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.core.model._
 import repro.core.phase2.ConflictGraph
+import scala.collection.mutable
 
 /** Accuracy measures of Section 6.1. */
 object ErrorMeasures {
 
-  /** Count, for every CC, how many join-view rows satisfy its condition.
-    * One aggregate pass per chunk of 60 CCs (a single `agg` with a thousand
-    * `sum(when(...))` expressions would blow up codegen).
+  /** Count, for every condition, how many join-view rows satisfy it, in one
+    * Spark stage: each partition counts the distinct value combinations of
+    * the attributes the conditions mention (attributes under a `NumRange`
+    * read as `int`, the others as `string`), the driver merges the partial
+    * counts and tests each condition once per combination with
+    * [[Pred.matches]]. A null value matches no predicate.
     */
-  def ccCounts(joinDf: DataFrame, ccs: Seq[CardinalityConstraint]): Seq[Long] = {
-    ccs.grouped(60).flatMap { chunk =>
-      val aggs = chunk.zipWithIndex.map { case (cc, i) =>
-        sum(when(cc.cond.toColumn, 1L).otherwise(0L)).alias(s"c$i")
+  def ccCounts(joinDf: DataFrame, conds: Seq[SelCond]): Seq[Long] = {
+    if (conds.isEmpty) return Nil
+    val attrs = conds.flatMap(_.preds.map(_.attr)).distinct
+    val numeric = conds.flatMap(_.preds.collect { case p: NumRange => p.attr }).toSet
+    val cols = attrs.map(a => col(a).cast(if (numeric(a)) "int" else "string"))
+    val partial = joinDf.select(cols: _*).rdd.mapPartitions { rows =>
+      val m = mutable.HashMap.empty[Row, Long]
+      rows.foreach(r => m(r) = m.getOrElse(r, 0L) + 1L)
+      m.iterator
+    }.collect()
+    val (combos, counts) = partial.toSeq.groupMapReduce(_._1)(_._2)(_ + _).toArray.unzip
+    val pos = attrs.zipWithIndex.toMap
+    conds.map { cond =>
+      val preds = cond.preds.map(p => (p, pos(p.attr))).toArray
+      combos.indices.foldLeft(0L) { (total, c) =>
+        if (preds.forall { case (p, i) => p.matches(combos(c).get(i)) }) total + counts(c)
+        else total
       }
-      val row = joinDf.agg(aggs.head, aggs.tail: _*).head()
-      chunk.indices.map(i => if (row.isNullAt(i)) 0L else row.getLong(i))
-    }.toSeq
+    }
   }
 
   /** Relative CC error `|ĉ − c| / max(10, c)` per CC (Section 6.1). */
   def ccRelErrors(joinDf: DataFrame, ccs: Seq[CardinalityConstraint]): Seq[Double] = {
-    val got = ccCounts(joinDf, ccs)
+    val got = ccCounts(joinDf, ccs.map(_.cond))
     ccs.zip(got).map { case (cc, g) =>
       math.abs(g - cc.target).toDouble / math.max(10L, cc.target)
     }

@@ -44,7 +44,7 @@ object Harness {
   /** One row of an accuracy/scalability table. */
   final case class AlgoResult(algo: String, ccMedian: Double, ccMean: Double,
                               dcErr: Double, phase1Ms: Long, phase2Ms: Long,
-                              totalMs: Long, stats: Phase1Stats)
+                              stats: Phase1Stats)
 
   /** Run one algorithm over a dataset+constraints and measure its errors.
     * `algo` ∈ {"hybrid", "baseline", "baselineM"}.
@@ -64,8 +64,7 @@ object Harness {
     val errs = ErrorMeasures.ccRelErrors(joined, ccs)
     val dcErr = ErrorMeasures.dcViolationFraction(res.r1Hat, schema, dcs)
     val out = AlgoResult(algo, ErrorMeasures.median(errs), ErrorMeasures.mean(errs),
-      dcErr, res.timings.phase1Ms, res.timings.phase2Ms, res.timings.totalMs,
-      res.timings.phase1)
+      dcErr, res.timings.phase1Ms, res.timings.phase2Ms, res.timings.phase1)
     res.vjoin.unpersist(); res.r1Hat.unpersist()
     out
   }

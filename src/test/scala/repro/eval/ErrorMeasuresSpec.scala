@@ -1,7 +1,11 @@
 package repro.eval
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Row
+import org.scalacheck.Gen
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 import repro.core.model._
+import repro.PropSupport.checkProp
 import repro.{Oracle, PaperExample, SparkSpec}
 
 class ErrorMeasuresSpec extends SparkSpec {
@@ -25,30 +29,80 @@ class ErrorMeasuresSpec extends SparkSpec {
       .toDF("Rel", "MultiLing", "Age", "Area")
   }
 
+  /** Row-by-row recount over collected rows that reads the predicate fields
+    * directly: a categorical predicate needs an equal string, a range a
+    * number inside it; null matches neither.
+    */
+  private def recount(rows: Seq[Row], cond: SelCond): Long =
+    rows.count(r => cond.preds.forall {
+      case CatEq(a, v) => r.getAs[Any](a) match {
+        case s: String => s == v
+        case _         => false
+      }
+      case NumRange(a, lo, hi) => r.getAs[Any](a) match {
+        case n: java.lang.Number => lo <= n.longValue && n.longValue <= hi
+        case _                   => false
+      }
+    }).toLong
+
+  private val ageWindows =
+    (0 until 150).map(i => SelCond(Seq(NumRange("Age", i % 50, i % 50 + 10))))
+
   test("ccCounts matches direct filtering") {
-    val ccs = Seq(
-      CardinalityConstraint("a", SelCond(Seq(CatEq("Rel", "Owner"))), 0),
-      CardinalityConstraint("b", SelCond(Seq(CatEq("Area", "Chicago"))), 0),
-      CardinalityConstraint("c", SelCond(Seq(NumRange("Age", 0, 24))), 0))
-    assert(ErrorMeasures.ccCounts(gtJoin, ccs) == Seq(3L, 3L, 2L))
+    val conds = Seq(SelCond(Seq(CatEq("Rel", "Owner"))), SelCond(Seq(CatEq("Area", "Chicago"))),
+                    SelCond(Seq(NumRange("Age", 0, 24))), SelCond.empty)
+    assert(ErrorMeasures.ccCounts(gtJoin, conds) == Seq(3L, 3L, 2L, 5L))
   }
 
   test("ccCounts agrees with DuckDB for every paper CC") {
+    import spark.implicits._
     val df = gtJoin
-    for (cc <- PaperExample.ccs) {
-      val sparkCnt = df.filter(cc.cond.toColumn).agg(count(lit(1)).alias("cnt"))
-      Oracle.assertEquivalent(sparkCnt,
-        s"SELECT COUNT(*) AS cnt FROM j WHERE ${sqlOf(cc.cond)}", "j" -> df)
+    val counts = ErrorMeasures.ccCounts(df, PaperExample.ccs.map(_.cond))
+    val got = PaperExample.ccs.map(_.id).zip(counts).toDF("id", "cnt")
+    Oracle.assertEquivalent(got, PaperExample.ccs.map(cc =>
+      s"SELECT '${cc.id}' AS id, COUNT(*) AS cnt FROM j WHERE ${sqlOf(cc.cond)}")
+      .mkString(" UNION ALL "), "j" -> df)
+  }
+
+  test("ccCounts equals a row-by-row recount on views with nulls and a Long column") {
+    import spark.implicits._
+    val cat = Gen.option(Gen.oneOf("a", "b", "c"))
+    val row = for (r <- cat; ar <- cat; age <- Gen.option(Gen.choose(0L, 9L))) yield (r, ar, age)
+    val view = Gen.choose(0, 30).flatMap(Gen.listOfN(_, row))
+    def maybe(g: Gen[Pred]): Gen[Option[Pred]] = Gen.oneOf(Gen.const(None), g.map(Some(_)))
+    val cond = for {
+      r   <- maybe(Gen.oneOf("a", "b", "c").map(CatEq("Rel", _)))
+      ar  <- maybe(Gen.oneOf("a", "b", "c").map(CatEq("Area", _)))
+      age <- maybe(for (lo <- Gen.choose(0, 9); hi <- Gen.choose(lo, 9)) yield NumRange("Age", lo, hi))
+    } yield SelCond(Seq(r, ar, age).flatten)
+    val conds = Gen.choose(1, 6).flatMap(Gen.listOfN(_, cond))
+    checkProp(view, conds) { (rows, cs) =>
+      val df = rows.toDF("Rel", "Area", "Age")
+      val collected = df.collect().toSeq
+      ErrorMeasures.ccCounts(df, cs) == cs.map(recount(collected, _))
     }
   }
 
-  test("ccCounts chunking handles more than 60 CCs") {
-    val ccs = (0 until 150).map(i =>
-      CardinalityConstraint(s"cc$i", SelCond(Seq(NumRange("Age", i % 50, i % 50 + 10))), 0))
-    val counts = ErrorMeasures.ccCounts(gtJoin, ccs)
-    assert(counts.size == 150)
-    // spot-check one directly
-    assert(counts(0) == gtJoin.filter(col("Age") <= 10).count())
+  test("ccCounts of 150 CCs equals a row-by-row recount") {
+    val rows = gtJoin.collect().toSeq
+    assert(ErrorMeasures.ccCounts(gtJoin, ageWindows) == ageWindows.map(recount(rows, _)))
+  }
+
+  test("ccCounts of 150 CCs runs exactly one Spark job") {
+    val sc = spark.sparkContext
+    val df = gtJoin
+    def inGroup[T](group: String)(body: => T): T = {
+      sc.setJobGroup(group, group)
+      try body finally sc.clearJobGroup()
+    }
+    inGroup("ccCounts-150")(ErrorMeasures.ccCounts(df, ageWindows))
+    // Job events reach the status tracker in order: once a later job shows
+    // up, every job of the counted group has too.
+    inGroup("ccCounts-marker")(sc.parallelize(Seq(1)).count())
+    eventually(timeout(Span(10, Seconds))) {
+      assert(sc.statusTracker.getJobIdsForGroup("ccCounts-marker").nonEmpty)
+    }
+    assert(sc.statusTracker.getJobIdsForGroup("ccCounts-150").length == 1)
   }
 
   test("relative CC error uses max(10, target) as denominator") {
