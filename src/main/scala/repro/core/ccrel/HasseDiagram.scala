@@ -30,7 +30,7 @@ object HasseDiagram {
                          forest: HasseForest)
 
   /** Build the containment forest for a set of pairwise non-intersecting CCs. */
-  def buildForest(ccs: Seq[CardinalityConstraint], schema: DbSchema): HasseForest = {
+  def buildForest(ccs: Seq[CardinalityConstraint]): HasseForest = {
     val n = ccs.size
     // strictContains(i)(j) == true iff ccs(j) ⊂ ccs(i) strictly
     val contains = Array.tabulate(n, n) { (i, j) =>
@@ -80,6 +80,6 @@ object HasseDiagram {
     val badRoots = badComponents.map(find)
     val (s2Idx, s1Idx) = (0 until n).partition(i => badRoots(find(i)))
     val s1 = s1Idx.map(ccs)
-    Split(s1, s2Idx.map(ccs), buildForest(s1, schema))
+    Split(s1, s2Idx.map(ccs), buildForest(s1))
   }
 }

@@ -42,13 +42,14 @@ final case class ComboSpace(schema: DbSchema, combos: IndexedSeq[Combo])
 object ComboSpace {
 
   /** Enumerate distinct B-combos of `r2` with their sorted keys. Throws
-    * `IllegalArgumentException` when a B attribute holds a null.
+    * `IllegalArgumentException` for an empty `r2` or a null B value.
     */
   def build(r2: DataFrame, schema: DbSchema): ComboSpace = {
     val attrs = schema.r2.attrs
     val rows = r2.groupBy(attrs.map(col): _*)
       .agg(sort_array(collect_list(col(schema.r2.key).cast("long"))))
       .collect()
+    require(rows.nonEmpty, "R2 has no tuples")
     for (row <- rows; (a, i) <- attrs.zipWithIndex)
       require(!row.isNullAt(i), s"R2 column $a has null values")
     // Deterministic combo ids: order by the B values, rendered as `[b1,…,bq,`.

@@ -1,17 +1,20 @@
 package repro.core.phase2
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 import repro.core.model._
 import repro.core.phase1.{Binning, CcCoverage, ComboSpace}
+import scala.jdk.CollectionConverters._
 
-/** One output row of the distributed coloring: either a FK assignment for an
-  * R1 tuple (`kind = 0`) or a new housing tuple to append to R̂2 (`kind = 1`).
+/** One output row of the distributed coloring: the FK `hid` of the R1 tuple
+  * keyed `k1`, which Phase I gave (or Phase II routed to) `combo`.
   */
-final case class FkOut(kind: Int, k1: Long, hid: Long, combo: Int)
+final case class FkOut(k1: Long, hid: Long, combo: Int)
 
-/** Result of Phase II. `r2Hat` is `r2` plus any fresh-key tuples created for
-  * skipped or invalid vertices (Proposition 5.5).
+/** Result of Phase II. `r1Hat` is cached and materialized; `r2Hat` is `r2`
+  * plus any fresh-key tuples created for skipped or invalid vertices
+  * (Proposition 5.5).
   */
 final case class Phase2Result(r1Hat: DataFrame, r2Hat: DataFrame)
 
@@ -19,12 +22,14 @@ final case class Phase2Result(r1Hat: DataFrame, r2Hat: DataFrame)
   *
   * The §5.2 optimization — one conflict hypergraph per distinct B-combo,
   * since candidate keys are disjoint across combos — maps directly to
-  * `groupByKey(comboId).flatMapGroups`: each Spark task builds and colors
-  * one partition's hypergraph (this is also the parallelization suggested in
-  * §A.3). Invalid tuples (no B values from Phase I) are routed to a second
-  * "lane" keyed by the least-CC-impact combo of their bin and colored with
-  * fresh keys only, which is trivially DC-safe w.r.t. previously colored
-  * tuples and realizes `solveInvalidTuples`.
+  * `groupByKey(comboId).flatMapGroups`: each Spark task builds one
+  * partition's hypergraph and colors it in one largest-first pass over the
+  * combo's keys and then fresh keys (this is also the parallelization
+  * suggested in §A.3). Invalid tuples (no B values from Phase I) are routed
+  * to a second "lane" keyed by the least-CC-impact combo of their bin and
+  * colored with fresh keys only, which is trivially DC-safe w.r.t.
+  * previously colored tuples and realizes `solveInvalidTuples`. `run` is
+  * eager: it materializes R̂1 and releases its cached coloring output.
   */
 object FkAssigner {
 
@@ -34,58 +39,51 @@ object FkAssigner {
     val spark = vjoin.sparkSession
     import spark.implicits._
 
-    val k2 = schema.r2.key
-    // Candidate FK values per combo (housing keys with those B values).
-    val palettes: IndexedSeq[IndexedSeq[Long]] = comboSpace.combos.map(_.keys)
+    val combos = comboSpace.combos
     val maxHid = comboSpace.maxKey
+    require(maxHid <= Long.MaxValue - ((combos.size + 2L) << 33),
+            s"R2 key $maxHid leaves no room for fresh keys above it")
 
-    // Least-CC-impact combo per bin (lowest id on ties), for solveInvalidTuples.
+    // Least-CC-impact combo per bin (lowest id on ties), for solveInvalidTuples,
+    // at index `__bin + 1`: bin ids are dense, and `__bin = -1` maps to combo 0.
     val coverage = new CcCoverage(ccs, schema, binning, comboSpace)
-    val bestComboForBin: Map[Int, Int] = binning.bins.map { b =>
-      val impact = coverage.impact(b.id)
-      b.id -> impact.indexOf(impact.min)
-    }.toMap
+    val bestCombo = 0 +: binning.bins.map(b => coverage.impact(b.id)).map(n => n.indexOf(n.min))
 
     // Group key: combo*2 for valid tuples, bestCombo*2+1 for invalid ones.
-    val invalidKeyDf = bestComboForBin.toSeq.toDF("__bin", "__bestCombo")
     val groupKey = when(col("__combo") >= 0, col("__combo").cast("long") * 2)
-      .otherwise(coalesce(col("__bestCombo"), lit(0)).cast("long") * 2 + 1)
+      .otherwise(typedLit(bestCombo).apply(col("__bin") + 1).cast("long") * 2 + 1)
 
-    val outs: Dataset[FkOut] = ConflictGraph.perGroup(
-        vjoin.join(invalidKeyDf, Seq("__bin"), "left"), schema.r1, groupKey, dcs) {
+    val outs = ConflictGraph.perGroup(vjoin, schema.r1, groupKey, dcs) {
       (gkey, rows, edges) =>
         val combo = (gkey / 2).toInt
         val invalidLane = gkey % 2 == 1
-        val palette = if (invalidLane) IndexedSeq.empty[Long] else palettes(combo)
-        val (c1, skipped) = ListColoring.colorLF(rows.size, edges, Map.empty, palette)
-
-        // Fresh colors for skipped vertices. |skipped| of them always
-        // suffice: while a skipped vertex is colored some fresh color is
-        // still unused, and a hyperedge can only forbid a color that all its
+        // Candidate FK values: the combo's housing keys, then fresh keys.
+        // Fresh keys sort last and a fresh-colored vertex forbids only its
+        // own key, so the palette choices are those of a palette-only pass.
+        // |rows| fresh keys always suffice: while a vertex is colored one is
+        // still unused, and a hyperedge can only forbid a key that all its
         // other vertices already hold.
-        val freshBase = maxHid + ((combo.toLong + 2) << 33) +
-          (if (invalidLane) 1L << 32 else 0L)
-        val fresh = (1 to skipped.size).map(i => freshBase + i)
-        val (colors, _) = ListColoring.colorLF(rows.size, edges, c1, fresh)
+        val palette = if (invalidLane) IndexedSeq.empty[Long] else combos(combo).keys
+        val freshBase = maxHid + ((combo.toLong + 2) << 33) + (if (invalidLane) 1L << 32 else 0L)
+        val fresh = (1 to rows.size).map(i => freshBase + i)
+        val (colors, _) = ListColoring.colorLF(rows.size, edges, Map.empty, palette ++ fresh)
+        rows.indices.iterator.map(i => FkOut(rows(i).key, colors(i), combo))
+      }.cache()
 
-        val assigns = rows.indices.map(i => FkOut(0, rows(i).key, colors(i), combo))
-        val newHids = colors.values.filter(_ > maxHid).toSeq.distinct
-        val newHousing = newHids.map(h => FkOut(1, -1L, h, combo))
-        (assigns ++ newHousing).iterator
-      }
+    val r1Hat = r1.drop(schema.r1.fk)
+      .join(outs.select(col("k1").as(schema.r1.key), col("hid").as(schema.r1.fk)), Seq(schema.r1.key))
+      .cache()
+    r1Hat.count()
 
-    val outsDf = outs.toDF().cache()
-
-    val assignDf = outsDf.filter(col("kind") === 0)
-      .select(col("k1").as(schema.r1.key), col("hid").as(schema.r1.fk))
-    val r1Hat = r1.drop(schema.r1.fk).join(assignDf, Seq(schema.r1.key))
-
-    val newHousingDf = outsDf.filter(col("kind") === 1)
-      .select(col("hid"), col("combo").as("__combo"))
-      .join(comboSpace.asDataFrame(spark), Seq("__combo"))
-      .select(col("hid").as(k2) +: schema.r2.attrs.map(col): _*)
-    val r2Hat = r2.select(col(k2) +: schema.r2.attrs.map(col): _*)
-      .unionByName(newHousingDf)
+    // One R̂2 tuple per fresh key, carrying its combo's B values.
+    val freshKeys = outs.filter(col("hid") > maxHid).select("hid", "combo")
+      .as[(Long, Int)].collect().distinct.sorted
+    outs.unpersist()
+    val (k2, attrs) = (schema.r2.key, schema.r2.attrs)
+    val newHousing = spark.createDataFrame(
+      freshKeys.toSeq.map { case (h, c) => Row.fromSeq(h +: attrs.map(combos(c).values)) }.asJava,
+      StructType(StructField(k2, LongType, nullable = false) +: attrs.map(StructField(_, StringType))))
+    val r2Hat = r2.select(col(k2) +: attrs.map(col): _*).unionByName(newHousing)
 
     Phase2Result(r1Hat, r2Hat)
   }

@@ -8,8 +8,9 @@ import scala.collection.mutable
   * some hyperedge containing `v` has all its *other* vertices already
   * assigned that same color (then coloring `v` alike would make the edge
   * monochromatic, i.e. violate the DC). Vertices whose whole palette is
-  * forbidden are skipped and returned for the caller to handle with fresh
-  * colors (Algorithm 4 lines 11–14).
+  * forbidden are skipped; [[FkAssigner]] appends a fresh color per vertex,
+  * above the palette, so they take fresh colors in the same pass (Algorithm
+  * 4 lines 11–14).
   */
 object ListColoring {
 

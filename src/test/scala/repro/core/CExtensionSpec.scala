@@ -132,4 +132,35 @@ class CExtensionSpec extends SparkSpec {
     assertRejects(PaperExample.r1(spark), nullAt(PaperExample.r2(spark), "hid", 6L, "Area", "string"),
                   "R2", "Area")
   }
+
+  test("an empty R2 fails loudly") {
+    val e = intercept[IllegalArgumentException](CExtension.run(PaperExample.r1(spark),
+      PaperExample.r2(spark).filter(lit(false)), PaperExample.schema, PaperExample.ccs, PaperExample.dcs))
+    assert(e.getMessage.contains("R2 has no tuples"), e.getMessage)
+  }
+
+  test("R2 keys too close to Long.MaxValue for fresh keys fail loudly") {
+    // Fresh keys are allocated above the largest R2 key; they must not wrap.
+    val r2 = PaperExample.r2(spark)
+      .withColumn("hid", when(col("hid") >= 4L, lit(Long.MaxValue - 100L) + col("hid")).otherwise(col("hid")))
+    val e = intercept[IllegalArgumentException](CExtension.run(PaperExample.r1(spark), r2,
+      PaperExample.schema, PaperExample.ccs, PaperExample.dcs))
+    assert(e.getMessage.contains("fresh keys"), e.getMessage)
+  }
+
+  test("a solve leaves no cached relation behind once vjoin and R̂1 are released") {
+    // One Chicago home: Phase II creates fresh R̂2 tuples.
+    import spark.implicits._
+    val r2 = Seq((1L, "Chicago"), (5L, "NYC"), (6L, "NYC")).toDF("hid", "Area")
+    def persisted = spark.sparkContext.getPersistentRDDs.size
+    val before = persisted
+    val after = (1 to 3).map { _ =>
+      val res = CExtension.run(PaperExample.r1(spark), r2, PaperExample.schema,
+        Seq(PaperExample.ccs.head), PaperExample.dcs)
+      assert(res.r2Hat.count() > 3)
+      res.vjoin.unpersist(); res.r1Hat.unpersist()
+      persisted
+    }
+    assert(after.forall(_ <= before), s"cached RDDs: $before before, $after after each solve")
+  }
 }

@@ -19,7 +19,7 @@ class HasseDiagramSpec extends AnyFunSuite {
   private val other = cc("other", NumRange("Age", 40, 60), CatEq("Area", "B"))
 
   test("forest builds chain with correct parentage") {
-    val f = HasseDiagram.buildForest(Seq(root, left, right, leaf, other), schema)
+    val f = HasseDiagram.buildForest(Seq(root, left, right, leaf, other))
     assert(f.roots.map(_.cc.id).toSet == Set("root", "other"))
     val r = f.roots.find(_.cc.id == "root").get
     assert(r.children.map(_.cc.id).toSet == Set("left", "right"))
@@ -28,7 +28,7 @@ class HasseDiagramSpec extends AnyFunSuite {
   }
 
   test("forest of all-disjoint CCs has only roots") {
-    val f = HasseDiagram.buildForest(Seq(left, right, other), schema)
+    val f = HasseDiagram.buildForest(Seq(left, right, other))
     assert(f.roots.size == 3)
     assert(f.roots.forall(_.children.isEmpty))
   }
@@ -77,7 +77,7 @@ class HasseDiagramSpec extends AnyFunSuite {
     val b = cc("b", NumRange("Age", 0, 15), CatEq("Area", "A"))
     val c = cc("c", NumRange("Age", 5, 20), CatEq("Area", "A"))
     assertThrows[IllegalArgumentException](
-      HasseDiagram.buildForest(Seq(a, b, c), schema))
+      HasseDiagram.buildForest(Seq(a, b, c)))
   }
 
   test("empty CC set yields empty forest and split") {

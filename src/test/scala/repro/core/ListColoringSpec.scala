@@ -129,4 +129,20 @@ class ListColoringSpec extends AnyFunSuite {
       }
     }
   }
+
+  // ---- property: Algorithm 4's single pass. Fresh colors above the palette
+  // change no palette choice and color exactly the vertices a palette-only
+  // pass skips, as a second pass over |skipped| fresh colors would.
+  private val paletteGen: Gen[IndexedSeq[Long]] =
+    Gen.choose(0, 4).flatMap(k => Gen.listOfN(k, Gen.choose(1L, 9L))).map(_.distinct.toIndexedSeq)
+
+  test("property: one pass over palette ++ fresh colors equals a palette pass then a fresh pass") {
+    checkProp(hypergraphGen, paletteGen) { case ((n, edges, _), palette) =>
+      val fresh = (1L to n.toLong).map(_ + 1000L)
+      val (c1, skipped) = ListColoring.colorLF(n, edges, Map.empty, palette)
+      val (twoPass, _) = ListColoring.colorLF(n, edges, c1, fresh.take(skipped.size))
+      val (onePass, s) = ListColoring.colorLF(n, edges, Map.empty, palette ++ fresh)
+      s.isEmpty && (0 until n).forall(v => onePass.get(v) == twoPass.get(v))
+    }
+  }
 }
