@@ -1,16 +1,18 @@
 package repro.core.model
 
-/** Comparison operator for cross-tuple atoms in a DC. */
+/** Comparison operator for cross-tuple atoms in a DC, over `Long`s so that
+  * an `Int` value plus an offset cannot wrap.
+  */
 sealed trait CmpOp extends Serializable {
-  def eval(l: Int, r: Int): Boolean
+  def eval(l: Long, r: Long): Boolean
 }
 object CmpOp {
-  case object Lt extends CmpOp { def eval(l: Int, r: Int): Boolean = l < r }
-  case object Gt extends CmpOp { def eval(l: Int, r: Int): Boolean = l > r }
-  case object Le extends CmpOp { def eval(l: Int, r: Int): Boolean = l <= r }
-  case object Ge extends CmpOp { def eval(l: Int, r: Int): Boolean = l >= r }
-  case object EqOp extends CmpOp { def eval(l: Int, r: Int): Boolean = l == r }
-  case object Ne extends CmpOp { def eval(l: Int, r: Int): Boolean = l != r }
+  case object Lt extends CmpOp { def eval(l: Long, r: Long): Boolean = l < r }
+  case object Gt extends CmpOp { def eval(l: Long, r: Long): Boolean = l > r }
+  case object Le extends CmpOp { def eval(l: Long, r: Long): Boolean = l <= r }
+  case object Ge extends CmpOp { def eval(l: Long, r: Long): Boolean = l >= r }
+  case object EqOp extends CmpOp { def eval(l: Long, r: Long): Boolean = l == r }
+  case object Ne extends CmpOp { def eval(l: Long, r: Long): Boolean = l != r }
 }
 
 /** Cross-tuple atom `t_i.attrI op (t_j.attrJ + offset)` over numeric attrs. */

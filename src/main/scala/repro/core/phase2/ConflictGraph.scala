@@ -25,7 +25,7 @@ private final case class SlotAtom(pos: Int, numeric: Boolean, pred: Pred) {
   */
 private final case class CrossAtom(i: Int, posI: Int, op: CmpOp, j: Int, posJ: Int, offset: Int) {
   def holds(ts: IndexedSeq[R1Tuple], chosen: Array[Int]): Boolean =
-    op.eval(ts(chosen(i)).nums(posI), ts(chosen(j)).nums(posJ) + offset)
+    op.eval(ts(chosen(i)).nums(posI), ts(chosen(j)).nums(posJ).toLong + offset)
 }
 
 /** A DC with attribute names resolved to positions. `crossAt(s)` holds the
@@ -34,10 +34,28 @@ private final case class CrossAtom(i: Int, posI: Int, op: CmpOp, j: Int, posJ: I
 private final case class CompiledDc(slots: IndexedSeq[IndexedSeq[SlotAtom]],
                                     crossAt: IndexedSeq[IndexedSeq[CrossAtom]]) {
   def arity: Int = slots.size
+
+  /** Call `f` on each assignment of distinct tuples to the slots, slot `s`
+    * drawn from `cands(s)`, that satisfies the cross atoms, until `f`
+    * returns true; returns whether it did. Slot conditions are the caller's
+    * filter. `f` receives the slot → tuple index array, reused across calls.
+    */
+  def exists(ts: IndexedSeq[R1Tuple], cands: Int => Iterable[Int])(f: Array[Int] => Boolean): Boolean = {
+    val chosen = new Array[Int](arity)
+    def rec(slot: Int): Boolean =
+      if (slot == arity) f(chosen)
+      else cands(slot).exists { i =>
+        chosen(slot) = i
+        var k = 0
+        while (k < slot && chosen(k) != i) k += 1
+        k == slot && crossAt(slot).forall(_.holds(ts, chosen)) && rec(slot + 1)
+      }
+    rec(0)
+  }
 }
 
 /** A DC set compiled against one R1 schema by [[ConflictGraph.compile]]. */
-final class CompiledDcs private[phase2] (dcs: Vector[CompiledDc]) extends Serializable {
+final class CompiledDcs private[phase2] (private[phase2] val dcs: Vector[CompiledDc]) extends Serializable {
 
   /** Enumerate hyperedges among `tuples`: for each DC, every assignment of
     * distinct tuples to its slots that satisfies the slot conditions and
@@ -48,23 +66,15 @@ final class CompiledDcs private[phase2] (dcs: Vector[CompiledDc]) extends Serial
     val out = mutable.LinkedHashSet.empty[Vector[Int]]
     for (dc <- dcs) {
       val slotCands = dc.slots.map(atoms => tuples.indices.filter(i => atoms.forall(_.matches(tuples(i)))))
-      val chosen = new Array[Int](dc.arity)
-      def rec(slot: Int): Unit =
-        if (slot == dc.arity) out += chosen.sorted.toVector
-        else slotCands(slot).foreach { i =>
-          chosen(slot) = i
-          var k = 0
-          while (k < slot && chosen(k) != i) k += 1
-          if (k == slot && dc.crossAt(slot).forall(_.holds(tuples, chosen))) rec(slot + 1)
-        }
-      rec(0)
+      dc.exists(tuples, slotCands) { chosen => out += chosen.sorted.toVector; false }
     }
     out.toVector
   }
 }
 
-/** Conflict hypergraph construction (Definition 5.1), and the one place the
-  * DCs are evaluated.
+/** Conflict hypergraph construction (Definition 5.1): DC compilation, and
+  * the explicit edge enumeration that DC-error measurement runs per FK
+  * group and that tests hold [[ImplicitGraph]] to.
   *
   * Vertices are tuple indices; a hyperedge is a set of tuples that would
   * jointly violate some DC if they shared a foreign key. Enumeration is
@@ -103,15 +113,14 @@ object ConflictGraph {
     })
   }
 
-  /** The conflict pass shared by Phase II and DC-error measurement: read
+  /** The grouping pass shared by Phase II and DC-error measurement: read
     * `df`'s R1 rows as positional tuples, partition them by `group` (cast
-    * to long), and call `f` once per group with the group key, the group's
-    * tuples sorted by K1, and their hyperedges under `dcs`. The DCs are
-    * compiled here, on the driver, so a bad DC fails before any job runs.
+    * to long), and call `f` once per group with the group key and the
+    * group's tuples sorted by K1. Callers compile their DCs on the driver
+    * first, so a bad DC fails before any job runs.
     */
-  def perGroup[T: Encoder](df: DataFrame, r1: R1Schema, group: Column, dcs: Seq[DenialConstraint])
-                          (f: (Long, IndexedSeq[R1Tuple], Vector[Vector[Int]]) => Iterator[T]): Dataset[T] = {
-    val compiled = compile(dcs, r1)
+  def perGroup[T: Encoder](df: DataFrame, r1: R1Schema, group: Column)
+                          (f: (Long, IndexedSeq[R1Tuple]) => Iterator[T]): Dataset[T] = {
     val spark = df.sparkSession
     import spark.implicits._
     df.select(group.cast("long").as("group"), col(r1.key).cast("long").as("key"),
@@ -120,8 +129,7 @@ object ConflictGraph {
       .as[R1Tuple]
       .groupByKey(_.group)
       .flatMapGroups { (g: Long, it: Iterator[R1Tuple]) =>
-        val tuples = it.toIndexedSeq.sortBy(_.key)
-        f(g, tuples, compiled.edges(tuples))
+        f(g, it.toIndexedSeq.sortBy(_.key))
       }
   }
 

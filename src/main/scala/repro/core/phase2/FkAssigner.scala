@@ -22,13 +22,14 @@ final case class Phase2Result(r1Hat: DataFrame, r2Hat: DataFrame)
   *
   * The §5.2 optimization — one conflict hypergraph per distinct B-combo,
   * since candidate keys are disjoint across combos — maps directly to
-  * `groupByKey(comboId).flatMapGroups`: each Spark task builds one
-  * partition's hypergraph and colors it in one largest-first pass over the
-  * combo's keys and then fresh keys (this is also the parallelization
-  * suggested in §A.3). Invalid tuples (no B values from Phase I) are routed
-  * to a second "lane" keyed by the least-CC-impact combo of their bin and
-  * colored with fresh keys only, which is trivially DC-safe w.r.t.
-  * previously colored tuples and realizes `solveInvalidTuples`. `run` is
+  * `groupByKey(comboId).flatMapGroups`: each Spark task colors one
+  * partition's conflict hypergraph, kept implicit by [[ImplicitGraph]], in
+  * one largest-first pass over the combo's keys and then fresh keys (this
+  * is also the parallelization suggested in §A.3). Invalid tuples (no B
+  * values from Phase I) are routed to a second "lane" keyed by the
+  * least-CC-impact combo of their bin and colored with fresh keys only,
+  * which is trivially DC-safe w.r.t. previously colored tuples and
+  * realizes `solveInvalidTuples`. `run` is
   * eager: it materializes R̂1 and releases its cached coloring output.
   */
 object FkAssigner {
@@ -43,6 +44,11 @@ object FkAssigner {
     val maxHid = comboSpace.maxKey
     require(maxHid <= Long.MaxValue - ((combos.size + 2L) << 33),
             s"R2 key $maxHid leaves no room for fresh keys above it")
+    // The coloring tries palette keys in index order, as `colorLF` tries them in value order.
+    for (c <- combos)
+      require(c.keys.indices.drop(1).forall(i => c.keys(i - 1) < c.keys(i)),
+              s"combo ${c.id}: R2 keys are not strictly ascending")
+    val compiled = ConflictGraph.compile(dcs, schema.r1)
 
     // Least-CC-impact combo per bin (lowest id on ties), for solveInvalidTuples,
     // at index `__bin + 1`: bin ids are dense, and `__bin = -1` maps to combo 0.
@@ -53,20 +59,19 @@ object FkAssigner {
     val groupKey = when(col("__combo") >= 0, col("__combo").cast("long") * 2)
       .otherwise(typedLit(bestCombo).apply(col("__bin") + 1).cast("long") * 2 + 1)
 
-    val outs = ConflictGraph.perGroup(vjoin, schema.r1, groupKey, dcs) {
-      (gkey, rows, edges) =>
+    val outs = ConflictGraph.perGroup(vjoin, schema.r1, groupKey) {
+      (gkey, rows) =>
         val combo = (gkey / 2).toInt
         val invalidLane = gkey % 2 == 1
-        // Candidate FK values: the combo's housing keys, then fresh keys.
-        // Fresh keys sort last and a fresh-colored vertex forbids only its
-        // own key, so the palette choices are those of a palette-only pass.
-        // |rows| fresh keys always suffice: while a vertex is colored one is
-        // still unused, and a hyperedge can only forbid a key that all its
-        // other vertices already hold.
+        // Candidate FK values: the combo's housing keys, then |rows| fresh
+        // keys `freshBase + i`. Fresh keys sort last and a fresh-colored
+        // vertex forbids only its own key, so the palette choices are those
+        // of a palette-only pass. |rows| fresh keys always suffice: while a
+        // vertex is colored one is still unused, and a hyperedge can only
+        // forbid a key that all its other vertices already hold.
         val palette = if (invalidLane) IndexedSeq.empty[Long] else combos(combo).keys
         val freshBase = maxHid + ((combo.toLong + 2) << 33) + (if (invalidLane) 1L << 32 else 0L)
-        val fresh = (1 to rows.size).map(i => freshBase + i)
-        val (colors, _) = ListColoring.colorLF(rows.size, edges, Map.empty, palette ++ fresh)
+        val colors = new ImplicitGraph(compiled, rows).colorLF(palette, freshBase)
         rows.indices.iterator.map(i => FkOut(rows(i).key, colors(i), combo))
       }.cache()
 

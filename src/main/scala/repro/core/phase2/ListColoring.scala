@@ -2,15 +2,16 @@ package repro.core.phase2
 
 import scala.collection.mutable
 
-/** Algorithm 3: largest-first greedy list coloring of a conflict hypergraph.
+/** Algorithm 3: largest-first greedy list coloring of an explicit conflict
+  * hypergraph, the reference [[ImplicitGraph.colorLF]] is tested against.
   *
   * Colors are foreign-key values. A color is forbidden for vertex `v` when
   * some hyperedge containing `v` has all its *other* vertices already
   * assigned that same color (then coloring `v` alike would make the edge
   * monochromatic, i.e. violate the DC). Vertices whose whole palette is
-  * forbidden are skipped; [[FkAssigner]] appends a fresh color per vertex,
-  * above the palette, so they take fresh colors in the same pass (Algorithm
-  * 4 lines 11–14).
+  * forbidden are skipped; with one fresh color per vertex appended above
+  * the palette, as Phase II does, they take fresh colors in the same pass
+  * (Algorithm 4 lines 11–14).
   */
 object ListColoring {
 

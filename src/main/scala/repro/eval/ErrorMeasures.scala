@@ -65,8 +65,9 @@ object ErrorMeasures {
     if (dcs.isEmpty) return 0.0
     val spark = r1Hat.sparkSession
     import spark.implicits._
-    val violators = ConflictGraph.perGroup(r1Hat, schema.r1, col(schema.r1.fk), dcs) {
-      (_, group, edges) => edges.flatten.distinct.map(i => group(i).key).iterator
+    val compiled = ConflictGraph.compile(dcs, schema.r1)
+    val violators = ConflictGraph.perGroup(r1Hat, schema.r1, col(schema.r1.fk)) {
+      (_, group) => compiled.edges(group).flatten.distinct.map(i => group(i).key).iterator
     }
     val total = r1Hat.count()
     if (total == 0) 0.0 else violators.distinct().count().toDouble / total

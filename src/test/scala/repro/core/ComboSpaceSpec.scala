@@ -45,6 +45,14 @@ class ComboSpaceSpec extends SparkSpec {
     assert(ComboSpace.build(collide, twoB).combos.map(_.keys) == Seq(Seq(2L), Seq(1L, 3L)))
   }
 
+  test("combo keys are strictly ascending whatever the R2 row order") {
+    import spark.implicits._
+    val r2 = (1L to 40L).reverse.map(k => (k, if (k % 3 == 0) "NYC" else "Chicago")).toDF("hid", "Area")
+    val cs = ComboSpace.build(r2.repartition(4), schema)
+    assert(cs.combos.map(_.keys.size).sum == 40)
+    cs.combos.foreach(c => assert(c.keys.zip(c.keys.drop(1)).forall { case (a, b) => a < b }, c.keys))
+  }
+
   test("asDataFrame round-trips combo values") {
     val cs = ComboSpace.build(PaperExample.r2(spark), schema)
     val rows = cs.asDataFrame(spark).collect().map(r =>

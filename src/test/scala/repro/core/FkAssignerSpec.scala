@@ -92,6 +92,16 @@ class FkAssignerSpec extends SparkSpec {
     assert(newHomes.filter(col("Area") === "Chicago").count() == newHomes.count())
   }
 
+  test("combo keys out of ascending order fail loudly") {
+    val r1 = PaperExample.r1(spark)
+    val r2 = PaperExample.r2(spark)
+    val p1 = HybridCompleter.run(r1, r2, schema, PaperExample.ccs, HybridCompleter.Mode.Hybrid)
+    val reversed = p1.comboSpace.copy(combos = p1.comboSpace.combos.map(c => c.copy(keys = c.keys.reverse)))
+    val e = intercept[IllegalArgumentException](FkAssigner.run(p1.vjoin, r1, r2, schema, PaperExample.dcs,
+                                                               PaperExample.ccs, p1.binning, reversed))
+    assert(e.getMessage.contains("strictly ascending"))
+  }
+
   test("an invalid tuple gets a fresh key carrying its bin's least-impact combo") {
     // Spouse CCs over both areas: the one spouse tuple (pid 5) stays invalid
     // in Phase I, since every combo would add to some CC.
